@@ -12,17 +12,9 @@ from seifert import (
     classify_lens,
     decide_hvf,
     enumerate_lens_fiberings,
-    mod_inverse,
+    manifold_markings,
     print_invariant,
 )
-
-
-def manifold_markings(p, q):
-    qs = {q % p, (-q) % p} if p else {1}
-    if p > 2:
-        inv_q = mod_inverse(q, p)
-        qs |= {inv_q, (-inv_q) % p}
-    return sorted({(s * p, qq) for s in (1, -1) for qq in qs})
 
 
 def main():

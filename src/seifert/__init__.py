@@ -75,6 +75,7 @@ from .lens import (
     homeomorphic,
     lens_cover,
     lens_from_invariant,
+    manifold_markings,
     marked_equal,
     oriented_diffeomorphic,
     reverse_orientation_lens,

@@ -66,7 +66,10 @@ __all__ = [
 
 # ---------------------------------------------------------------- orbifolds
 
-_BOUNDARY_TOKEN = re.compile(r"b(\d+)\Z")
+# Digits are ASCII only: ``\d`` and str.isdigit would also take other scripts'
+# digits and superscripts.
+_CONE_TOKEN = re.compile(r"[0-9]+\Z")
+_BOUNDARY_TOKEN = re.compile(r"b([0-9]+)\Z")
 
 
 def parse_orbifold(text: str) -> "orb_mod.Orbifold":
@@ -84,7 +87,7 @@ def parse_orbifold(text: str) -> "orb_mod.Orbifold":
             handles += 1
         elif token == "x":
             crosscaps += 1
-        elif token.isdigit():
+        elif _CONE_TOKEN.match(token):
             if int(token) == 0:
                 raise ParseError("cone order must be positive", pos)
             cones.append(int(token))
@@ -115,7 +118,7 @@ def print_orbifold(orb) -> str:
 
 
 class _Scanner:
-    _INT = re.compile(r"-?\d+")
+    _INT = re.compile(r"-?[0-9]+")
 
     def __init__(self, text: str):
         self.text = text

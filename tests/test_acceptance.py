@@ -35,6 +35,7 @@ from seifert import (
     homeomorphic,
     homotopy_components,
     lens_from_invariant,
+    manifold_markings,
     marked_equal,
     normalize,
     oriented_diffeomorphic,
@@ -47,7 +48,6 @@ from seifert import (
     sphere,
     unit_tangent_invariant,
 )
-from seifert.exactmath import mod_inverse
 
 
 def report(n, text):
@@ -342,22 +342,17 @@ def test_criterion_06_zero_euler_parabolic_census():
 
 
 @lru_cache(maxsize=None)
-def _fiberings_of(p, q):
-    return tuple(enumerate_lens_fiberings(MarkedLens(p, q), 12))
+def _fiberings_of(p, q, bound):
+    return tuple(enumerate_lens_fiberings(MarkedLens(p, q), bound))
 
 
-def _manifold_fiberings(p, q):
+def _manifold_fiberings(p, q, bound):
     """All fiberings (up to unoriented isomorphism, at the search bound) of
     the manifold L(p, q): two-fiber forms over every homeomorphic marking,
     plus the projective-plane fibering when the manifold carries one."""
-    qs = {q % p, (-q) % p} if p else {1}
-    if p > 2:
-        inv_q = mod_inverse(q, p)
-        qs |= {inv_q, (-inv_q) % p}
-    markings = {(s * p, qq) for s in (1, -1) for qq in qs}
     found = {}
-    for pp, qq in sorted(markings):
-        for fibering in _fiberings_of(pp, qq):
+    for pp, qq in manifold_markings(p, q):
+        for fibering in _fiberings_of(pp, qq, bound):
             found[unoriented_key(fibering)] = fibering
     for alpha in range(1, p // 4 + 1):
         if 4 * alpha == p and q % p in ((2 * alpha + 1) % p, (2 * alpha - 1) % p):
@@ -366,15 +361,16 @@ def _manifold_fiberings(p, q):
     return list(found.values())
 
 
-def test_criterion_07_lens_classification_end_to_end():
-    start = time.time()
+def _check_theorem1(max_p, bound):
+    """Check Theorem 1's four-case verdict for every L(p, q) with p <= max_p
+    against its fiberings enumerated at the bound; returns the case counts."""
     cases = {case: 0 for case in Theorem1Case}
-    for p in range(13):
+    for p in range(max_p + 1):
         for q in range(p) if p else (1,):
             if math.gcd(p, q) != 1:
                 continue
             verdict = classify_lens(p, q)
-            fiberings = _manifold_fiberings(p, q)
+            fiberings = _manifold_fiberings(p, q, bound)
             assert fiberings, (p, q)
             with_hvf = [f for f in fiberings if decide_hvf(f).exists]
             without = [f for f in fiberings if not decide_hvf(f).exists]
@@ -389,13 +385,31 @@ def test_criterion_07_lens_classification_end_to_end():
                 assert unoriented_key(with_hvf[0]) == unoriented_key(verdict.witness)
                 assert equal(verdict.witness, SeifertInvariant(-1, ((p // 4, -1),)))
             cases[verdict.case] += 1
-    elapsed = time.time() - start
     assert all(cases.values()), cases
+    return cases
+
+
+def test_criterion_07_lens_classification_end_to_end():
+    start = time.time()
+    cases = _check_theorem1(12, 12)
+    elapsed = time.time() - start
     assert elapsed < 60
     report(
         7,
         "classification verified against enumerated fiberings for p <= 12 "
         f"({ {c.value: n for c, n in cases.items()} }) in {elapsed:.1f}s",
+    )
+
+
+def test_criterion_07_lens_classification_wide_range():
+    start = time.time()
+    cases = _check_theorem1(32, 16)
+    elapsed = time.time() - start
+    assert elapsed < 60
+    report(
+        7,
+        "classification verified against enumerated fiberings for p <= 32 "
+        f"at bound 16 ({ {c.value: n for c, n in cases.items()} }) in {elapsed:.1f}s",
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -191,6 +192,14 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_enumerate_lens_bound_above_cap(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "enumerate-lens", "5", "1", "10000")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bound must be at most")
 
     def test_quotient_zero_degree(self, capsys):
         code, _, err = run(capsys, "quotient", "M(0; (2,1))", "0")

@@ -16,10 +16,13 @@ from seifert import (
     homeomorphic,
     lens_cover,
     lens_from_invariant,
+    manifold_markings,
     marked_equal,
+    normalize,
     oriented_diffeomorphic,
     reverse_orientation_lens,
 )
+from seifert.lens import MAX_ENUMERATION_BOUND
 from seifert.errors import IncompatibleCover, NotALensForm, NotCoprime, ZeroDegree
 from seifert.exactmath import ext_gcd
 
@@ -299,7 +302,48 @@ class TestExceptionalFibering:
         assert marked_equal(lens_from_invariant(dual), lens)
 
 
+def _all_pairs_fiberings(target, bound):
+    """Brute-force oracle for enumerate_lens_fiberings: every pair of
+    candidate pairs, each tested with the marking comparison."""
+    candidates = [
+        (a, b)
+        for a in range(1, bound + 1)
+        for b in range(-bound, bound + 1)
+        if math.gcd(a, b) == 1
+    ]
+    seen = {}
+    for i, pair1 in enumerate(candidates):
+        for pair2 in candidates[i:]:
+            fibering = inv(0, pair1, pair2)
+            cf = normalize(fibering)
+            key = (cf.pairs, cf.b)
+            if key in seen:
+                continue
+            if marked_equal(lens_from_invariant(fibering), target):
+                seen[key] = cf
+    return [cf.invariant() for _, cf in sorted(seen.items())]
+
+
 class TestEnumerateLensFiberings:
+    def test_matches_all_pairs_oracle(self):
+        # identical lists, order included, for every marking with |p| <= 16
+        targets = [MarkedLens(p, q) for p, q in {
+            m for p in range(17) for q in (range(p) if p else (1,)) if math.gcd(p, q) == 1
+            for m in manifold_markings(p, q)
+        }]
+        assert len(targets) == 161
+        for bound in range(1, 6):
+            for target in targets:
+                assert enumerate_lens_fiberings(target, bound) == _all_pairs_fiberings(
+                    target, bound
+                ), (target, bound)
+
+    def test_bound_limits(self):
+        with pytest.raises(ValueError):
+            enumerate_lens_fiberings(MarkedLens(5, 1), 0)
+        with pytest.raises(ValueError):
+            enumerate_lens_fiberings(MarkedLens(5, 1), MAX_ENUMERATION_BOUND + 1)
+
     def test_small_sphere_quotients(self):
         found = enumerate_lens_fiberings(MarkedLens(2, 1), 3)
         assert any(equal(f, inv(0, (1, 1), (1, 1))) for f in found)
@@ -325,6 +369,37 @@ class TestEnumerateLensFiberings:
         for i, a in enumerate(found):
             for b in found[i + 1 :]:
                 assert not equal(a, b)
+
+
+class TestManifoldMarkings:
+    def test_values(self):
+        assert manifold_markings(0, 1) == [(0, 1)]
+        assert manifold_markings(1, 0) == [(-1, 0), (1, 0)]
+        assert manifold_markings(2, 1) == [(-2, 1), (2, 1)]
+        assert manifold_markings(5, 2) == [(-5, 2), (-5, 3), (5, 2), (5, 3)]
+        assert manifold_markings(7, 2) == [
+            (-7, 2), (-7, 3), (-7, 4), (-7, 5), (7, 2), (7, 3), (7, 4), (7, 5)
+        ]
+
+    def test_markings_are_the_homeomorphism_class(self):
+        for p in range(13):
+            for q in range(p) if p else (1,):
+                if math.gcd(p, q) != 1:
+                    continue
+                markings = manifold_markings(p, q)
+                assert len(set(markings)) == len(markings)
+                expected = {
+                    (lens.p, lens.q)
+                    for lens in all_marked(p)
+                    if homeomorphic(lens, MarkedLens(p, q))
+                }
+                assert set(markings) == expected
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            manifold_markings(-5, 1)
+        with pytest.raises(NotCoprime):
+            manifold_markings(6, 3)
 
 
 class TestCrossValidation:

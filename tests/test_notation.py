@@ -59,6 +59,17 @@ class TestParseOrbifold:
         with pytest.raises(ParseError):
             parse_orbifold("   ")
 
+    def test_non_ascii_digits_rejected(self):
+        # Arabic-Indic three and five
+        with pytest.raises(ParseError) as exc:
+            parse_orbifold("\u0663 \u0665")
+        assert exc.value.position == 0
+
+    def test_superscript_digit_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_orbifold("2 \u00b2")
+        assert exc.value.position == 2
+
 
 class TestPrintOrbifold:
     def test_cones(self):
@@ -112,6 +123,12 @@ class TestParseInvariant:
     def test_missing_semicolon(self):
         with pytest.raises(ParseError):
             parse_invariant("M(0 (2,1))")
+
+    def test_non_ascii_digits_rejected(self):
+        # Arabic-Indic three
+        with pytest.raises(ParseError) as exc:
+            parse_invariant("(0; (\u0663,1))")
+        assert exc.value.position == 5
 
 
 class TestPrintInvariant:
