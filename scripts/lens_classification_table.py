@@ -1,20 +1,13 @@
 """Tabulate, for every lens space L(p, q) with p up to a bound, how many of
 its Seifert fiberings carry a horizontal vector field, next to the counts
-found by brute-force enumeration of two-fiber invariants.
+found by brute-force enumeration of its fiberings (each counted once, up to
+isomorphism that may reverse orientation).
 """
 
 import argparse
 import math
 
-from seifert import (
-    MarkedLens,
-    SeifertInvariant,
-    classify_lens,
-    decide_hvf,
-    enumerate_lens_fiberings,
-    manifold_markings,
-    print_invariant,
-)
+from seifert import classify_lens, decide_hvf, manifold_fiberings, print_invariant
 
 
 def main():
@@ -29,12 +22,7 @@ def main():
             if math.gcd(p, q) != 1:
                 continue
             verdict = classify_lens(p, q)
-            fiberings = []
-            for pp, qq in manifold_markings(p, q):
-                fiberings.extend(enumerate_lens_fiberings(MarkedLens(pp, qq), args.bound))
-            for alpha in range(1, p // 4 + 1):
-                if 4 * alpha == p and q % p in ((2 * alpha + 1) % p, (2 * alpha - 1) % p):
-                    fiberings.append(SeifertInvariant(-1, ((alpha, -1),)))
+            fiberings = manifold_fiberings(p, q, args.bound)
             with_hvf = sum(decide_hvf(f).exists for f in fiberings)
             witness = print_invariant(verdict.witness) if verdict.witness else ""
             print(

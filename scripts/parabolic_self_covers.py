@@ -16,7 +16,7 @@ from seifert import (
     sphere,
     unit_tangent_invariant,
 )
-from seifert.cli import _degree_set_str
+from seifert.notation import degree_set_str
 
 BASES = [
     Orbifold(True, 1),
@@ -36,7 +36,7 @@ def main():
         symmetric = equal(ut, reverse_orientation(ut))
         print(
             f"{print_orbifold(base):>10}  {print_invariant(ut):<42} "
-            f"{'yes' if symmetric else 'no':<9} {_degree_set_str(allowable_degrees(ut))}"
+            f"{'yes' if symmetric else 'no':<9} {degree_set_str(allowable_degrees(ut))}"
         )
 
 

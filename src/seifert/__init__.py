@@ -19,7 +19,7 @@ from .errors import (
     SeifertError,
     ZeroDegree,
 )
-from .exactmath import Congruence, Rational, crt_merge, ext_gcd, mod_inverse
+from .exactmath import Rational, crt_merge, ext_gcd, mod_inverse
 from .invariant import (
     AlternateFibering,
     CanonicalForm,
@@ -75,6 +75,7 @@ from .lens import (
     homeomorphic,
     lens_cover,
     lens_from_invariant,
+    manifold_fiberings,
     manifold_markings,
     marked_equal,
     oriented_diffeomorphic,

@@ -14,22 +14,14 @@ import sys
 import traceback
 
 from .errors import NoHvf, SeifertError
-from .hvf import (
-    Covering,
-    DegreeProgression,
-    EmptyDegrees,
-    SingleDegree,
-    SurfaceSection,
-    allowable_degrees,
-    boundary_tangency,
-    decide_hvf_boundary,
-)
+from .hvf import Covering, SurfaceSection, boundary_tangency, decide_hvf_boundary
 from .homotopy import homotopy_components
 from .invariant import (
     alternate_fiberings,
     base_orbifold,
     euler_number,
     fiberwise_quotient,
+    normalize,
 )
 from .lens import (
     MarkedLens,
@@ -42,9 +34,10 @@ from .lens import (
     oriented_diffeomorphic,
 )
 from .notation import (
+    _report,
     catalog_json,
     decision_json,
-    invariant_report,
+    degree_set_str,
     parse_invariant,
     parse_orbifold,
     print_invariant,
@@ -54,25 +47,13 @@ from .notation import (
 from . import orbifold as orb_mod
 
 
-def _degree_set_str(ds) -> str:
-    if isinstance(ds, EmptyDegrees):
-        return "d = 0 only" if ds.include_zero else "none"
-    if isinstance(ds, SingleDegree):
-        return f"d = {ds.d}"
-    assert isinstance(ds, DegreeProgression)
-    text = f"d = {ds.residue} (mod {ds.modulus}), d != 0"
-    if ds.include_zero:
-        text += ", and d = 0"
-    return text
-
-
 def _mechanism_str(mech) -> str:
     if isinstance(mech, SurfaceSection):
         return "section of the fibering over the base surface"
     assert isinstance(mech, Covering)
     return (
         f"fiberwise covering of {print_invariant(mech.target)} "
-        f"with degrees {_degree_set_str(mech.degrees)}"
+        f"with degrees {degree_set_str(mech.degrees)}"
     )
 
 
@@ -139,8 +120,6 @@ def _cmd_ut(args) -> int:
 
 def _cmd_normalize(args) -> int:
     inv = parse_invariant(args.invariant)
-    from .invariant import normalize
-
     cf = normalize(inv)
     payload = {
         "input": args.invariant,
@@ -164,7 +143,7 @@ def _cmd_hvf(args) -> int:
     inv = parse_invariant(args.invariant)
     if not inv.closed:
         raise SeifertError("invariant has boundary; use the boundary-hvf subcommand")
-    report = invariant_report(args.invariant, inv)
+    report, decision = _report(args.invariant, inv)
     lines = [
         f"invariant: {report['normalized_invariant']}",
         f"base orbifold: {report['base_orbifold']}",
@@ -173,9 +152,6 @@ def _cmd_hvf(args) -> int:
         f"chi: {orb_mod.chi(base_orbifold(inv))}",
         f"horizontal vector field: {'yes' if report['hvf']['exists'] else 'no'}",
     ]
-    from .hvf import decide_hvf
-
-    decision = decide_hvf(inv)
     for mech in decision.mechanisms:
         lines.append(f"  via {_mechanism_str(mech)}")
     if decision.obstruction is not None:
@@ -274,7 +250,7 @@ def _cmd_homotopy(args) -> int:
         return _emit(args, payload, [payload["note"]])
     payload["homotopy"] = catalog_json(catalog)
     lines = [
-        f"degrees: {_degree_set_str(catalog.degrees)}",
+        f"degrees: {degree_set_str(catalog.degrees)}",
         f"cohomology rank: {catalog.cohomology_rank}",
         f"unique up to homotopy: {'yes' if catalog.unique_up_to_homotopy else 'no'}",
     ]
@@ -295,7 +271,7 @@ def _cmd_boundary_hvf(args) -> int:
         "input": args.invariant,
         "normalized_invariant": print_invariant(inv),
         "base_orbifold": print_orbifold(base_orbifold(inv)),
-        "hvf": decision_json(decision, allowable_degrees(inv)),
+        "hvf": decision_json(decision),
         "boundary_tangency": boundary_tangency(inv),
         "homotopy_note": note,
     }

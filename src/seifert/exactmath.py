@@ -11,12 +11,11 @@ moduli that need not be coprime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction as Rational
 
 from .errors import NotInvertible
 
-__all__ = ["Rational", "Congruence", "ext_gcd", "mod_inverse", "crt_merge"]
+__all__ = ["Rational", "ext_gcd", "mod_inverse", "crt_merge"]
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -57,53 +56,29 @@ def mod_inverse(a: int, m: int) -> int:
     """
     if m < 1:
         raise ValueError("modulus must be positive")
-    if m == 1:
-        return 0
-    g, x, _ = ext_gcd(a % m, m)
-    if g != 1:
-        raise NotInvertible(f"{a} is not invertible modulo {m}")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NotInvertible(f"{a} is not invertible modulo {m}") from None
 
 
-@dataclass(frozen=True)
-class Congruence:
-    """The set of integers congruent to ``residue`` modulo ``modulus``.
+def crt_merge(c1: tuple[int, int], c2: tuple[int, int]) -> tuple[int, int] | None:
+    """Intersect the classes ``d = r1 (mod m1)`` and ``d = r2 (mod m2)``.
 
-    Residues are canonicalized into ``[0, modulus)`` on construction so that
-    structural equality coincides with set equality.  ``modulus = 1`` encodes
-    the set of all integers.
+    Each class is a ``(residue, modulus)`` pair with a positive modulus; the
+    residue may be any integer.  Returns the intersection as ``(r, lcm)``
+    with ``r`` in ``[0, lcm)``, or ``None`` when it is empty.  The system is
+    solvable exactly when ``r1 == r2 (mod gcd(m1, m2))``; the moduli need not
+    be coprime.
     """
-
-    residue: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
-
-    def contains(self, d: int) -> bool:
-        return d % self.modulus == self.residue
-
-    def __str__(self):
-        return f"d = {self.residue} (mod {self.modulus})"
-
-
-def crt_merge(c1: Congruence, c2: Congruence) -> Congruence | None:
-    """Intersect two congruence classes.
-
-    Returns the class modulo ``lcm(m1, m2)`` equal to the intersection, or
-    ``None`` when the intersection is empty.  The system is solvable exactly
-    when ``r1 == r2 (mod gcd(m1, m2))``; the moduli need not be coprime.
-    """
-    if c1.modulus == 1:
-        return c2
-    if c2.modulus == 1:
-        return c1
-    g = math.gcd(c1.modulus, c2.modulus)
-    if (c1.residue - c2.residue) % g != 0:
+    r1, m1 = c1
+    r2, m2 = c2
+    if m1 < 1 or m2 < 1:
+        raise ValueError("modulus must be positive")
+    g = math.gcd(m1, m2)
+    if (r1 - r2) % g:
         return None
-    lcm = c1.modulus // g * c2.modulus
-    step = c2.modulus // g
-    k = (c2.residue - c1.residue) // g * mod_inverse(c1.modulus // g, step) % step
-    return Congruence(c1.residue + c1.modulus * k, lcm)
+    step = m2 // g
+    k = (r2 - r1) // g * pow(m1 // g, -1, step) % step
+    lcm = m1 * step
+    return (r1 + m1 * k) % lcm, lcm

@@ -47,8 +47,13 @@ def homotopy_components(inv: SeifertInvariant) -> ComponentCatalog:
         raise BoundaryNotSupported("homotopy classes are cataloged for closed fiberings")
     if inv.genus_code < 0:
         raise NonOrientedBase("homotopy classes are cataloged over oriented bases only")
-    degrees = allowable_degrees(inv)
-    if orbifold.is_torus(base_orbifold(inv)):
+    return _catalog(inv, base_orbifold(inv), allowable_degrees(inv))
+
+
+def _catalog(inv: SeifertInvariant, base, degrees: DegreeSet) -> ComponentCatalog:
+    """The catalog of a closed fibering over the oriented orbifold ``base``
+    with covering degrees ``degrees``."""
+    if orbifold.is_torus(base):
         # the section mechanism adds the degree-0 components
         if isinstance(degrees, DegreeProgression):
             degrees = DegreeProgression(degrees.residue, degrees.modulus, include_zero=True)

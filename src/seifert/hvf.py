@@ -12,17 +12,19 @@ tangent to the fibers.  Such a field exists exactly when either
 The covering degrees form the "allowable degree set" D computed here: each
 exceptional fiber imposes ``d * b_i = -1 (mod a_i)``, and for a closed
 fibering the Euler numbers pin ``d * e = chi``.  With boundary, the Euler
-condition disappears and only the congruences remain.
+condition disappears and only the congruences remain.  Every decision merges
+the congruences once, pair by pair in input order (Chinese remainder
+theorem over moduli that need not be coprime); when they clash, the earlier
+pairs are rescanned to name the two that contradict each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import BoundaryNotSupported
-from .exactmath import Congruence, crt_merge, mod_inverse
+from .exactmath import crt_merge, mod_inverse
 from .invariant import (
     CanonicalForm,
     SeifertInvariant,
@@ -144,58 +146,49 @@ class HvfDecision:
     obstruction: CongruenceClash | EulerMismatch | None
 
 
-def _degree_congruences(inv: SeifertInvariant) -> list[Congruence]:
-    # d * b = -1 (mod a), i.e. d = -b^{-1}; alpha = 1 gives the vacuous class.
-    return [Congruence(-mod_inverse(b, a), a) for a, b in inv.pairs]
+def _merge_congruences(pairs):
+    """Merge the fiber congruences ``d * b = -1 (mod a)`` in input order.
 
-
-@lru_cache(maxsize=1 << 16)
-def _merged_class(residues: tuple[tuple[int, int], ...]) -> Congruence | None:
-    merged = Congruence(0, 1)
-    for a, r in residues:
-        nxt = crt_merge(merged, Congruence(-mod_inverse(r, a), a))
-        if nxt is None:
-            return None
-        merged = nxt
-    return merged
-
-
-def _merge_conditions(inv):
-    # the merged class only depends on the residues b mod a, so grid-scale
-    # callers hit the cache; the clash report needs input order, rare path
-    residues = tuple(sorted((a, b % a) for a, b in inv.pairs if a >= 2))
-    merged = _merged_class(residues)
-    if merged is not None:
-        return merged, None
-    conds = _degree_congruences(inv)
-    acc = Congruence(0, 1)
-    for j, cond in enumerate(conds):
-        nxt = crt_merge(acc, cond)
+    Returns ``((residue, modulus), None)`` for the merged class, or
+    ``(None, CongruenceClash(i, j))``: pair ``j`` is the first whose
+    congruence contradicts the merge of the pairs before it, and pair ``i``
+    the first earlier pair that contradicts it on its own.
+    """
+    merged = (0, 1)
+    for j, (a, b) in enumerate(pairs):
+        if a == 1:
+            continue  # d * b = -1 (mod 1) holds for every d
+        cond = (-mod_inverse(b, a), a)
+        nxt = crt_merge(merged, cond)
         if nxt is None:
             # pairwise solvability implies joint solvability, so some single
-            # earlier condition already contradicts this one
-            i = next(k for k in range(j) if crt_merge(conds[k], cond) is None)
+            # earlier congruence already contradicts this one
+            earlier = ((-mod_inverse(bk, ak), ak) for ak, bk in pairs[:j])
+            i = next(k for k, c in enumerate(earlier) if crt_merge(c, cond) is None)
             return None, CongruenceClash(i, j)
-        acc = nxt
-    raise AssertionError("cached congruence merge disagreed with the direct merge")
+        merged = nxt
+    return merged, None
 
 
-def _solve(inv: SeifertInvariant):
-    merged, clash = _merge_conditions(inv)
+def _solve(inv: SeifertInvariant, base):
+    """The degree set of ``inv`` over its base orbifold ``base``, with the
+    first failed condition when the set is empty."""
+    merged, clash = _merge_congruences(inv.pairs)
     if merged is None:
         return EmptyDegrees(), clash
+    residue, modulus = merged
     if not inv.closed:
-        return DegreeProgression(merged.residue, merged.modulus), None
+        return DegreeProgression(residue, modulus), None
     e = euler_number(inv)
-    x = orbifold.chi(base_orbifold(inv))
+    x = orbifold.chi(base)
     if e != 0:
         ratio = x / e
         pin = int(ratio) if ratio.denominator == 1 else None
-        if pin is not None and pin != 0 and merged.contains(pin):
+        if pin is not None and pin != 0 and pin % modulus == residue:
             return SingleDegree(pin), None
         return EmptyDegrees(), EulerMismatch(e, x, pin)
     if x == 0:
-        return DegreeProgression(merged.residue, merged.modulus), None
+        return DegreeProgression(residue, modulus), None
     return EmptyDegrees(), EulerMismatch(e, x, None)
 
 
@@ -209,11 +202,7 @@ def allowable_degrees(inv: SeifertInvariant) -> DegreeSet:
     ``chi = 0`` and nothing otherwise.  With boundary the merged class is the
     answer; its modulus divides the lcm of the alphas.
     """
-    return _solve(inv)[0]
-
-
-def _is_surface_section_base(base) -> bool:
-    return orbifold.is_torus(base) or orbifold.is_klein_bottle(base)
+    return _solve(inv, base_orbifold(inv))[0]
 
 
 def decide_hvf(inv: SeifertInvariant) -> HvfDecision:
@@ -222,9 +211,9 @@ def decide_hvf(inv: SeifertInvariant) -> HvfDecision:
         raise BoundaryNotSupported("use decide_hvf_boundary for bounded fiberings")
     base = base_orbifold(inv)
     mechanisms = []
-    if _is_surface_section_base(base):
+    if orbifold.is_torus(base) or orbifold.is_klein_bottle(base):
         mechanisms.append(SurfaceSection())
-    degrees, obstruction = _solve(inv)
+    degrees, obstruction = _solve(inv, base)
     if not degrees.is_empty():
         target = normalize(orbifold.unit_tangent_invariant(base)).invariant()
         mechanisms.append(Covering(degrees, target))
@@ -245,17 +234,15 @@ def decide_hvf_boundary(inv: SeifertInvariant) -> HvfDecision:
     mechanisms = []
     if not base.cone_orders:
         mechanisms.append(SurfaceSection())
-    merged, clash = _merge_conditions(inv)
-    if merged is not None:
+    degrees, clash = _solve(inv, base)
+    if not degrees.is_empty():
         target = CanonicalForm(
             inv.genus_code,
             inv.boundary_count,
             tuple(sorted((a, a - 1) for a, _ in inv.pairs if a >= 2)),
             None,
         ).invariant()
-        mechanisms.append(
-            Covering(DegreeProgression(merged.residue, merged.modulus), target)
-        )
+        mechanisms.append(Covering(degrees, target))
     exists = bool(mechanisms)
     return HvfDecision(exists, tuple(mechanisms), None if exists else clash)
 

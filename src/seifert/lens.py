@@ -33,7 +33,7 @@ from enum import Enum
 
 from .errors import IncompatibleCover, NotALensForm, NotCoprime, ZeroDegree
 from .exactmath import ext_gcd
-from .invariant import SeifertInvariant, normalize
+from .invariant import SeifertInvariant, normalize, reverse_orientation
 
 __all__ = [
     "MarkedLens",
@@ -50,6 +50,7 @@ __all__ = [
     "exceptional_lens_fibering",
     "enumerate_lens_fiberings",
     "manifold_markings",
+    "manifold_fiberings",
     "MAX_ENUMERATION_BOUND",
 ]
 
@@ -271,3 +272,32 @@ def enumerate_lens_fiberings(target: MarkedLens, bound: int) -> list[SeifertInva
                 if key not in seen:
                     seen[key] = cf if marked_equal(lens_from_invariant(inv), target) else None
     return [cf.invariant() for _, cf in sorted(seen.items()) if cf is not None]
+
+
+def _unoriented_key(inv: SeifertInvariant):
+    """One key per fibering up to isomorphism that may reverse orientation."""
+    cf = normalize(inv)
+    rcf = normalize(reverse_orientation(inv))
+    return min((cf.genus_code, cf.pairs, cf.b), (rcf.genus_code, rcf.pairs, rcf.b))
+
+
+def manifold_fiberings(p: int, q: int, bound: int) -> list[SeifertInvariant]:
+    """Every fibering of the manifold ``L(p, q)`` at the search bound, once
+    up to isomorphism that may reverse orientation: the two-fiber forms of
+    each of ``manifold_markings(p, q)``, plus the projective-plane fibering
+    when ``p = 4*alpha`` and ``q = 2*alpha +- 1 (mod p)``."""
+    found = {}
+    searched = []
+    for pp, qq in manifold_markings(p, q):
+        target = MarkedLens(pp, qq)
+        # L(-p, q') carries the orientation reversals of the fiberings of
+        # L(p, q'), and marked-equal targets carry the same fiberings
+        if pp < 0 or any(marked_equal(target, t) for t in searched):
+            continue
+        searched.append(target)
+        for fibering in enumerate_lens_fiberings(target, bound):
+            found.setdefault(_unoriented_key(fibering), fibering)
+    if p > 0 and p % 4 == 0 and q % p in ((p // 2 + 1) % p, (p // 2 - 1) % p):
+        fibering = exceptional_lens_fibering(p // 4)[0]
+        found.setdefault(_unoriented_key(fibering), fibering)
+    return [found[key] for key in sorted(found)]

@@ -36,6 +36,7 @@ from .errors import NoHvf, NotALensForm, ParseError
 from .hvf import (
     Covering,
     CongruenceClash,
+    DegreeProgression,
     DegreeSet,
     EmptyDegrees,
     EulerMismatch,
@@ -45,7 +46,7 @@ from .hvf import (
     decide_hvf,
     decide_hvf_boundary,
 )
-from .homotopy import ComponentCatalog, homotopy_components
+from .homotopy import ComponentCatalog, _catalog
 from .invariant import SeifertInvariant, base_orbifold, euler_number, normalize
 from .lens import MarkedLens, fibered_lens_hvf, lens_from_invariant
 from . import orbifold as orb_mod
@@ -57,6 +58,7 @@ __all__ = [
     "print_invariant",
     "rational_str",
     "degree_set_json",
+    "degree_set_str",
     "decision_json",
     "catalog_json",
     "lens_json",
@@ -66,8 +68,11 @@ __all__ = [
 
 # ---------------------------------------------------------------- orbifolds
 
-# Digits are ASCII only: ``\d`` and str.isdigit would also take other scripts'
-# digits and superscripts.
+# Digits and separators are ASCII only: ``\d``, ``\s``, str.isdigit and
+# str.isspace would also take other scripts' digits, superscripts and spaces
+# such as U+3000.
+_SPACE = " \t\n\r\f\v"
+_TOKEN = re.compile(f"[^{_SPACE}]+")
 _CONE_TOKEN = re.compile(r"[0-9]+\Z")
 _BOUNDARY_TOKEN = re.compile(r"b([0-9]+)\Z")
 
@@ -78,7 +83,7 @@ def parse_orbifold(text: str) -> "orb_mod.Orbifold":
     crosscaps = 0
     cones: list[int] = []
     boundary: int | None = None
-    matches = list(re.finditer(r"\S+", text))
+    matches = list(_TOKEN.finditer(text))
     if not matches:
         raise ParseError("empty orbifold description", 0)
     for m in matches:
@@ -125,7 +130,7 @@ class _Scanner:
         self.pos = 0
 
     def _skip_space(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        while self.pos < len(self.text) and self.text[self.pos] in _SPACE:
             self.pos += 1
 
     def peek(self) -> str:
@@ -220,6 +225,19 @@ def degree_set_json(ds: DegreeSet) -> dict:
     }
 
 
+def degree_set_str(ds: DegreeSet) -> str:
+    """The degree set in words, as the human-readable CLI output prints it."""
+    if isinstance(ds, EmptyDegrees):
+        return "d = 0 only" if ds.include_zero else "none"
+    if isinstance(ds, SingleDegree):
+        return f"d = {ds.d}"
+    assert isinstance(ds, DegreeProgression)
+    text = f"d = {ds.residue} (mod {ds.modulus}), d != 0"
+    if ds.include_zero:
+        text += ", and d = 0"
+    return text
+
+
 def _mechanism_json(mech) -> dict:
     if isinstance(mech, SurfaceSection):
         return {"kind": "surface_section"}
@@ -245,16 +263,17 @@ def _obstruction_json(obs) -> dict | None:
     }
 
 
-def decision_json(decision: HvfDecision, degrees: DegreeSet) -> dict:
-    target = None
-    for mech in decision.mechanisms:
-        if isinstance(mech, Covering):
-            target = print_invariant(mech.target)
+def _covering(decision: HvfDecision) -> Covering | None:
+    return next((m for m in decision.mechanisms if isinstance(m, Covering)), None)
+
+
+def decision_json(decision: HvfDecision) -> dict:
+    covering = _covering(decision)
     return {
         "exists": decision.exists,
         "mechanisms": [_mechanism_json(m) for m in decision.mechanisms],
-        "degrees": degree_set_json(degrees),
-        "target": target,
+        "degrees": degree_set_json(covering.degrees if covering else EmptyDegrees()),
+        "target": print_invariant(covering.target) if covering else None,
         "obstruction": _obstruction_json(decision.obstruction),
     }
 
@@ -271,15 +290,8 @@ def lens_json(lens: MarkedLens) -> dict:
     return {"p": lens.p, "q": lens.q, "fibered_hvf": fibered_lens_hvf(lens)}
 
 
-def invariant_report(text: str, inv: SeifertInvariant) -> dict:
-    """The full structured report for one invariant.
-
-    Field names are frozen: input, normalized_invariant, base_orbifold,
-    geometry, euler_number, chi, hvf, and the optional lens and homotopy
-    sections.  Bounded invariants have null geometry and euler_number.
-    """
-    from .hvf import allowable_degrees
-
+def _report(text: str, inv: SeifertInvariant) -> tuple[dict, HvfDecision]:
+    """The report of ``invariant_report`` together with the decision it shows."""
     base = base_orbifold(inv)
     if inv.closed:
         geometry = orb_mod.geometry_class(base).value
@@ -296,7 +308,7 @@ def invariant_report(text: str, inv: SeifertInvariant) -> dict:
         "geometry": geometry,
         "euler_number": euler,
         "chi": rational_str(orb_mod.chi(base)),
-        "hvf": decision_json(decision, allowable_degrees(inv)),
+        "hvf": decision_json(decision),
     }
     if inv.closed:
         try:
@@ -304,8 +316,20 @@ def invariant_report(text: str, inv: SeifertInvariant) -> dict:
         except NotALensForm:
             pass
         if inv.genus_code >= 0:
+            covering = _covering(decision)
+            degrees = covering.degrees if covering else EmptyDegrees()
             try:
-                report["homotopy"] = catalog_json(homotopy_components(inv))
+                report["homotopy"] = catalog_json(_catalog(inv, base, degrees))
             except NoHvf:
                 pass
-    return report
+    return report, decision
+
+
+def invariant_report(text: str, inv: SeifertInvariant) -> dict:
+    """The full structured report for one invariant.
+
+    Field names are frozen: input, normalized_invariant, base_orbifold,
+    geometry, euler_number, chi, hvf, and the optional lens and homotopy
+    sections.  Bounded invariants have null geometry and euler_number.
+    """
+    return _report(text, inv)[0]

@@ -4,7 +4,7 @@ import math
 
 from hypothesis import strategies as st
 
-from seifert import SeifertInvariant
+from seifert import SeifertInvariant, normalize, reverse_orientation
 
 
 @st.composite
@@ -53,3 +53,13 @@ def apply_random_moves(inv, rng, count):
             else:
                 pairs.insert(rng.randrange(len(pairs) + 1), (1, 0))
     return SeifertInvariant(inv.genus_code, tuple(pairs), inv.boundary_count)
+
+
+def unoriented_key(inv):
+    """One key per closed fibering up to isomorphism that may reverse
+    orientation."""
+    cf = normalize(inv)
+    rcf = normalize(reverse_orientation(inv))
+    return min(
+        (cf.genus_code, cf.pairs, cf.b), (rcf.genus_code, rcf.pairs, rcf.b)
+    )

@@ -11,9 +11,8 @@ import math
 import random
 import time
 from fractions import Fraction
-from functools import lru_cache
 
-from conftest import apply_random_moves
+from conftest import apply_random_moves, unoriented_key
 from seifert import (
     DegreeProgression,
     EmptyDegrees,
@@ -27,7 +26,6 @@ from seifert import (
     chi,
     classify_lens,
     decide_hvf,
-    enumerate_lens_fiberings,
     equal,
     euler_number,
     fiberwise_quotient,
@@ -35,7 +33,7 @@ from seifert import (
     homeomorphic,
     homotopy_components,
     lens_from_invariant,
-    manifold_markings,
+    manifold_fiberings,
     marked_equal,
     normalize,
     oriented_diffeomorphic,
@@ -73,14 +71,6 @@ def canonical_grid(max_alpha, max_pairs, b_range, genus_codes):
                 pairs = ms + ((1, b),) if b else ms
                 for genus in genus_codes:
                     yield SeifertInvariant(genus, pairs)
-
-
-def unoriented_key(inv):
-    cf = normalize(inv)
-    rcf = normalize(reverse_orientation(inv))
-    return min(
-        (cf.genus_code, cf.pairs, cf.b), (rcf.genus_code, rcf.pairs, rcf.b)
-    )
 
 
 # --------------------------------------------------------------------------
@@ -341,26 +331,6 @@ def test_criterion_06_zero_euler_parabolic_census():
 # 7. The lens-space classification agrees with brute-force evidence.
 
 
-@lru_cache(maxsize=None)
-def _fiberings_of(p, q, bound):
-    return tuple(enumerate_lens_fiberings(MarkedLens(p, q), bound))
-
-
-def _manifold_fiberings(p, q, bound):
-    """All fiberings (up to unoriented isomorphism, at the search bound) of
-    the manifold L(p, q): two-fiber forms over every homeomorphic marking,
-    plus the projective-plane fibering when the manifold carries one."""
-    found = {}
-    for pp, qq in manifold_markings(p, q):
-        for fibering in _fiberings_of(pp, qq, bound):
-            found[unoriented_key(fibering)] = fibering
-    for alpha in range(1, p // 4 + 1):
-        if 4 * alpha == p and q % p in ((2 * alpha + 1) % p, (2 * alpha - 1) % p):
-            extra = SeifertInvariant(-1, ((alpha, -1),))
-            found[unoriented_key(extra)] = extra
-    return list(found.values())
-
-
 def _check_theorem1(max_p, bound):
     """Check Theorem 1's four-case verdict for every L(p, q) with p <= max_p
     against its fiberings enumerated at the bound; returns the case counts."""
@@ -370,7 +340,7 @@ def _check_theorem1(max_p, bound):
             if math.gcd(p, q) != 1:
                 continue
             verdict = classify_lens(p, q)
-            fiberings = _manifold_fiberings(p, q, bound)
+            fiberings = manifold_fiberings(p, q, bound)
             assert fiberings, (p, q)
             with_hvf = [f for f in fiberings if decide_hvf(f).exists]
             without = [f for f in fiberings if not decide_hvf(f).exists]

@@ -1,5 +1,9 @@
+import io
 import json
+import math
+import random
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -204,3 +208,759 @@ class TestExitCodes:
     def test_quotient_zero_degree(self, capsys):
         code, _, err = run(capsys, "quotient", "M(0; (2,1))", "0")
         assert code == 2
+
+
+
+# The malformations of the benchmark's report stream, plus non-ASCII text.
+MALFORMATIONS = (
+    lambda t: t[:-1],  # unclosed
+    lambda t: t.replace(";", ":", 1),  # wrong separator
+    lambda t: t + " trailing",  # trailing input
+    lambda t: t.replace("(", "((", 1),  # unbalanced
+    lambda t: t.replace(";", "; (0,1),", 1),  # alpha 0
+    lambda t: t.replace(" ", "\u3000", 1),  # ideographic space
+    lambda t: t.replace("1", "\u0661", 1),  # Arabic-Indic one
+    lambda t: "",
+)
+
+
+def fuzz_invariant(rng):
+    """Random invariant text: genus 0 half the time, 0-4 pairs with a beta
+    that shares a factor with its alpha one time in ten, sometimes boundary,
+    and malformed three times in ten."""
+    genus = rng.choice([0, rng.randint(-3, 3)])
+    boundary = rng.choice([0, 0, 0, 1, 2])
+    pairs = []
+    for _ in range(rng.randint(0, 4)):
+        a, b = rng.randint(1, 30), rng.randint(-60, 60)
+        while rng.random() < 0.9 and math.gcd(a, b) != 1:
+            b += 1
+        pairs.append((a, b))
+    head = f"{genus}, {boundary}" if boundary else f"{genus}"
+    text = f"{rng.choice(['M', ''])}({head}; {', '.join(f'({a},{b})' for a, b in pairs)})"
+    if rng.random() < 0.3:
+        text = rng.choice(MALFORMATIONS)(text)
+    return text
+
+
+def fuzz_orbifold(rng):
+    tokens = ["o", "x", "b1", "b2", "2", "3", "4", "5", "6", "7"]
+    text = " ".join(rng.choice(tokens) for _ in range(rng.randint(0, 5)))
+    if rng.random() < 0.3:
+        text += " " + rng.choice(["b0", "0", "q", "-2", "\u00b2", "b1"])
+    return text
+
+
+def fuzz_argv(rng):
+    command = rng.choice(
+        ["hvf", "boundary-hvf", "homotopy", "lens", "normalize", "euler", "classify-orbifold"]
+    )
+    argv = [command]
+    if rng.random() < 0.97:  # else the argument is missing
+        argv.append(fuzz_orbifold(rng) if command == "classify-orbifold" else fuzz_invariant(rng))
+    if rng.random() < 0.5:
+        argv.append("--json")
+    return argv
+
+
+class TestExitCodeFuzz:
+    def test_only_answers_and_input_errors(self):
+        rng = random.Random(20181)
+        codes = {0: 0, 2: 0}
+        start = time.perf_counter()
+        for _ in range(2000):
+            argv = fuzz_argv(rng)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exit_:  # argparse rejects the command line
+                    code = exit_.code
+            assert code in (0, 2), (argv, err.getvalue())
+            assert "Traceback" not in err.getvalue(), argv
+            codes[code] += 1
+        # no input may make a query do unbounded work; 2,000 queries take
+        # about 5.5 s on a 2-CPU x86-64 host, most of it spent building the
+        # argparse parser that main() makes on every call
+        assert time.perf_counter() - start < 30
+        # both outcomes are exercised
+        assert min(codes.values()) > 400, codes
+
+
+# Full stdout, human and --json, of the decision subcommands; recorded once and
+# never regenerated, so any change to an output byte fails here.
+GOLDEN = [
+    # hvf: clash at (2, 3), (1, b) pair first
+    (
+        ['hvf', 'M(0; (1,2), (5,1), (3,1), (3,2))'],
+        """\
+invariant: M(0; (1,2), (3,1), (3,2), (5,1))
+base orbifold: 3 3 5
+geometry: hyperbolic
+euler number: -16/5
+chi: -2/15
+horizontal vector field: no
+  obstruction: exceptional fibers 2 and 3 impose incompatible degree congruences
+""",
+    ),
+    (
+        ['hvf', 'M(0; (1,2), (5,1), (3,1), (3,2))', '--json'],
+        """\
+{
+  "input": "M(0; (1,2), (5,1), (3,1), (3,2))",
+  "normalized_invariant": "M(0; (1,2), (3,1), (3,2), (5,1))",
+  "base_orbifold": "3 3 5",
+  "geometry": "hyperbolic",
+  "euler_number": "-16/5",
+  "chi": "-2/15",
+  "hvf": {
+    "exists": false,
+    "mechanisms": [],
+    "degrees": {
+      "kind": "empty",
+      "include_zero": false
+    },
+    "target": null,
+    "obstruction": {
+      "kind": "congruence_clash",
+      "i": 2,
+      "j": 3
+    }
+  }
+}
+""",
+    ),
+    # hvf: Euler mismatch, pin 1 outside the class
+    (
+        ['hvf', 'M(0; (4,1), (4,1), (1,-1))'],
+        """\
+invariant: M(0; (1,-1), (4,1), (4,1))
+base orbifold: 4 4
+geometry: elliptic
+euler number: 1/2
+chi: 1/2
+horizontal vector field: no
+  obstruction: no non-zero integer d with d * (1/2) = 1/2 in the allowed congruence class
+""",
+    ),
+    (
+        ['hvf', 'M(0; (4,1), (4,1), (1,-1))', '--json'],
+        """\
+{
+  "input": "M(0; (4,1), (4,1), (1,-1))",
+  "normalized_invariant": "M(0; (1,-1), (4,1), (4,1))",
+  "base_orbifold": "4 4",
+  "geometry": "elliptic",
+  "euler_number": "1/2",
+  "chi": "1/2",
+  "hvf": {
+    "exists": false,
+    "mechanisms": [],
+    "degrees": {
+      "kind": "empty",
+      "include_zero": false
+    },
+    "target": null,
+    "obstruction": {
+      "kind": "euler_mismatch",
+      "euler": "1/2",
+      "chi": "1/2",
+      "pin": 1
+    }
+  },
+  "lens": {
+    "p": -8,
+    "q": 3,
+    "fibered_hvf": false
+  }
+}
+""",
+    ),
+    # hvf: Euler mismatch, pin 0
+    (
+        ['hvf', 'M(0; (3,1), (3,1), (3,1))'],
+        """\
+invariant: M(0; (3,1), (3,1), (3,1))
+base orbifold: 3 3 3
+geometry: parabolic
+euler number: -1
+chi: 0
+horizontal vector field: no
+  obstruction: no non-zero integer d with d * (-1/1) = 0/1 in the allowed congruence class
+""",
+    ),
+    (
+        ['hvf', 'M(0; (3,1), (3,1), (3,1))', '--json'],
+        """\
+{
+  "input": "M(0; (3,1), (3,1), (3,1))",
+  "normalized_invariant": "M(0; (3,1), (3,1), (3,1))",
+  "base_orbifold": "3 3 3",
+  "geometry": "parabolic",
+  "euler_number": "-1/1",
+  "chi": "0/1",
+  "hvf": {
+    "exists": false,
+    "mechanisms": [],
+    "degrees": {
+      "kind": "empty",
+      "include_zero": false
+    },
+    "target": null,
+    "obstruction": {
+      "kind": "euler_mismatch",
+      "euler": "-1/1",
+      "chi": "0/1",
+      "pin": 0
+    }
+  }
+}
+""",
+    ),
+    # hvf: Euler mismatch, no integer pin
+    (
+        ['hvf', 'M(0; (2,1), (3,1), (1,1))'],
+        """\
+invariant: M(0; (1,1), (2,1), (3,1))
+base orbifold: 2 3
+geometry: bad
+euler number: -11/6
+chi: 5/6
+horizontal vector field: no
+  obstruction: no non-zero integer d with d * (-11/6) = 5/6 in the allowed congruence class
+""",
+    ),
+    (
+        ['hvf', 'M(0; (2,1), (3,1), (1,1))', '--json'],
+        """\
+{
+  "input": "M(0; (2,1), (3,1), (1,1))",
+  "normalized_invariant": "M(0; (1,1), (2,1), (3,1))",
+  "base_orbifold": "2 3",
+  "geometry": "bad",
+  "euler_number": "-11/6",
+  "chi": "5/6",
+  "hvf": {
+    "exists": false,
+    "mechanisms": [],
+    "degrees": {
+      "kind": "empty",
+      "include_zero": false
+    },
+    "target": null,
+    "obstruction": {
+      "kind": "euler_mismatch",
+      "euler": "-11/6",
+      "chi": "5/6",
+      "pin": null
+    }
+  },
+  "lens": {
+    "p": 11,
+    "q": 7,
+    "fibered_hvf": false
+  }
+}
+""",
+    ),
+    # hvf: single degree
+    (
+        ['hvf', 'M(0; (1,-1), (5,2), (5,2), (5,2))'],
+        """\
+invariant: M(0; (1,-1), (5,2), (5,2), (5,2))
+base orbifold: 5 5 5
+geometry: hyperbolic
+euler number: -1/5
+chi: -2/5
+horizontal vector field: yes
+  via fiberwise covering of M(0; (1,-2), (5,4), (5,4), (5,4)) with degrees d = 2
+""",
+    ),
+    (
+        ['hvf', 'M(0; (1,-1), (5,2), (5,2), (5,2))', '--json'],
+        """\
+{
+  "input": "M(0; (1,-1), (5,2), (5,2), (5,2))",
+  "normalized_invariant": "M(0; (1,-1), (5,2), (5,2), (5,2))",
+  "base_orbifold": "5 5 5",
+  "geometry": "hyperbolic",
+  "euler_number": "-1/5",
+  "chi": "-2/5",
+  "hvf": {
+    "exists": true,
+    "mechanisms": [
+      {
+        "kind": "covering",
+        "degrees": {
+          "kind": "single",
+          "d": 2
+        },
+        "target": "M(0; (1,-2), (5,4), (5,4), (5,4))"
+      }
+    ],
+    "degrees": {
+      "kind": "single",
+      "d": 2
+    },
+    "target": "M(0; (1,-2), (5,4), (5,4), (5,4))",
+    "obstruction": null
+  },
+  "homotopy": {
+    "degrees": {
+      "kind": "single",
+      "d": 2
+    },
+    "cohomology_rank": 0,
+    "unique_up_to_homotopy": true
+  }
+}
+""",
+    ),
+    # hvf: progression
+    (
+        ['hvf', 'M(0; (1,2), (2,-1), (2,-1), (2,-1), (2,-1))'],
+        """\
+invariant: M(0; (1,-2), (2,1), (2,1), (2,1), (2,1))
+base orbifold: 2 2 2 2
+geometry: parabolic
+euler number: 0
+chi: 0
+horizontal vector field: yes
+  via fiberwise covering of M(0; (1,-2), (2,1), (2,1), (2,1), (2,1)) with degrees d = 1 (mod 2), d != 0
+""",
+    ),
+    (
+        ['hvf', 'M(0; (1,2), (2,-1), (2,-1), (2,-1), (2,-1))', '--json'],
+        """\
+{
+  "input": "M(0; (1,2), (2,-1), (2,-1), (2,-1), (2,-1))",
+  "normalized_invariant": "M(0; (1,-2), (2,1), (2,1), (2,1), (2,1))",
+  "base_orbifold": "2 2 2 2",
+  "geometry": "parabolic",
+  "euler_number": "0/1",
+  "chi": "0/1",
+  "hvf": {
+    "exists": true,
+    "mechanisms": [
+      {
+        "kind": "covering",
+        "degrees": {
+          "kind": "progression",
+          "residue": 1,
+          "modulus": 2,
+          "include_zero": false
+        },
+        "target": "M(0; (1,-2), (2,1), (2,1), (2,1), (2,1))"
+      }
+    ],
+    "degrees": {
+      "kind": "progression",
+      "residue": 1,
+      "modulus": 2,
+      "include_zero": false
+    },
+    "target": "M(0; (1,-2), (2,1), (2,1), (2,1), (2,1))",
+    "obstruction": null
+  },
+  "homotopy": {
+    "degrees": {
+      "kind": "progression",
+      "residue": 1,
+      "modulus": 2,
+      "include_zero": false
+    },
+    "cohomology_rank": 0,
+    "unique_up_to_homotopy": false
+  }
+}
+""",
+    ),
+    # hvf: torus base, both mechanisms
+    (
+        ['hvf', 'M(1;)'],
+        """\
+invariant: M(1;)
+base orbifold: o
+geometry: parabolic
+euler number: 0
+chi: 0
+horizontal vector field: yes
+  via section of the fibering over the base surface
+  via fiberwise covering of M(1;) with degrees d = 0 (mod 1), d != 0
+""",
+    ),
+    (
+        ['hvf', 'M(1;)', '--json'],
+        """\
+{
+  "input": "M(1;)",
+  "normalized_invariant": "M(1;)",
+  "base_orbifold": "o",
+  "geometry": "parabolic",
+  "euler_number": "0/1",
+  "chi": "0/1",
+  "hvf": {
+    "exists": true,
+    "mechanisms": [
+      {
+        "kind": "surface_section"
+      },
+      {
+        "kind": "covering",
+        "degrees": {
+          "kind": "progression",
+          "residue": 0,
+          "modulus": 1,
+          "include_zero": false
+        },
+        "target": "M(1;)"
+      }
+    ],
+    "degrees": {
+      "kind": "progression",
+      "residue": 0,
+      "modulus": 1,
+      "include_zero": false
+    },
+    "target": "M(1;)",
+    "obstruction": null
+  },
+  "homotopy": {
+    "degrees": {
+      "kind": "progression",
+      "residue": 0,
+      "modulus": 1,
+      "include_zero": true
+    },
+    "cohomology_rank": 2,
+    "unique_up_to_homotopy": false
+  }
+}
+""",
+    ),
+    # hvf: Klein-bottle base, both mechanisms
+    (
+        ['hvf', 'M(-2;)'],
+        """\
+invariant: M(-2;)
+base orbifold: x x
+geometry: parabolic
+euler number: 0
+chi: 0
+horizontal vector field: yes
+  via section of the fibering over the base surface
+  via fiberwise covering of M(-2;) with degrees d = 0 (mod 1), d != 0
+""",
+    ),
+    (
+        ['hvf', 'M(-2;)', '--json'],
+        """\
+{
+  "input": "M(-2;)",
+  "normalized_invariant": "M(-2;)",
+  "base_orbifold": "x x",
+  "geometry": "parabolic",
+  "euler_number": "0/1",
+  "chi": "0/1",
+  "hvf": {
+    "exists": true,
+    "mechanisms": [
+      {
+        "kind": "surface_section"
+      },
+      {
+        "kind": "covering",
+        "degrees": {
+          "kind": "progression",
+          "residue": 0,
+          "modulus": 1,
+          "include_zero": false
+        },
+        "target": "M(-2;)"
+      }
+    ],
+    "degrees": {
+      "kind": "progression",
+      "residue": 0,
+      "modulus": 1,
+      "include_zero": false
+    },
+    "target": "M(-2;)",
+    "obstruction": null
+  }
+}
+""",
+    ),
+    # hvf: Klein-bottle base, section only
+    (
+        ['hvf', 'M(-2; (1,3))'],
+        """\
+invariant: M(-2; (1,3))
+base orbifold: x x
+geometry: parabolic
+euler number: -3
+chi: 0
+horizontal vector field: yes
+  via section of the fibering over the base surface
+""",
+    ),
+    (
+        ['hvf', 'M(-2; (1,3))', '--json'],
+        """\
+{
+  "input": "M(-2; (1,3))",
+  "normalized_invariant": "M(-2; (1,3))",
+  "base_orbifold": "x x",
+  "geometry": "parabolic",
+  "euler_number": "-3/1",
+  "chi": "0/1",
+  "hvf": {
+    "exists": true,
+    "mechanisms": [
+      {
+        "kind": "surface_section"
+      }
+    ],
+    "degrees": {
+      "kind": "empty",
+      "include_zero": false
+    },
+    "target": null,
+    "obstruction": null
+  }
+}
+""",
+    ),
+    # hvf: lens form
+    (
+        ['hvf', 'M(0; (2,1), (2,5))'],
+        """\
+invariant: M(0; (1,2), (2,1), (2,1))
+base orbifold: 2 2
+geometry: elliptic
+euler number: -3
+chi: 1
+horizontal vector field: no
+  obstruction: no non-zero integer d with d * (-3/1) = 1/1 in the allowed congruence class
+""",
+    ),
+    (
+        ['hvf', 'M(0; (2,1), (2,5))', '--json'],
+        """\
+{
+  "input": "M(0; (2,1), (2,5))",
+  "normalized_invariant": "M(0; (1,2), (2,1), (2,1))",
+  "base_orbifold": "2 2",
+  "geometry": "elliptic",
+  "euler_number": "-3/1",
+  "chi": "1/1",
+  "hvf": {
+    "exists": false,
+    "mechanisms": [],
+    "degrees": {
+      "kind": "empty",
+      "include_zero": false
+    },
+    "target": null,
+    "obstruction": {
+      "kind": "euler_mismatch",
+      "euler": "-3/1",
+      "chi": "1/1",
+      "pin": null
+    }
+  },
+  "lens": {
+    "p": 12,
+    "q": 7,
+    "fibered_hvf": false
+  }
+}
+""",
+    ),
+    # boundary-hvf: clash
+    (
+        ['boundary-hvf', 'M(0, 2; (1,4), (3,1), (5,2), (3,2))'],
+        """\
+invariant: M(0, 2; (3,1), (3,2), (5,2))
+horizontal vector field: no
+tangent/transverse to the boundary possible: no
+""",
+    ),
+    (
+        ['boundary-hvf', 'M(0, 2; (1,4), (3,1), (5,2), (3,2))', '--json'],
+        """\
+{
+  "input": "M(0, 2; (1,4), (3,1), (5,2), (3,2))",
+  "normalized_invariant": "M(0, 2; (3,1), (3,2), (5,2))",
+  "base_orbifold": "3 3 5 b2",
+  "hvf": {
+    "exists": false,
+    "mechanisms": [],
+    "degrees": {
+      "kind": "empty",
+      "include_zero": false
+    },
+    "target": null,
+    "obstruction": {
+      "kind": "congruence_clash",
+      "i": 1,
+      "j": 3
+    }
+  },
+  "boundary_tangency": false,
+  "homotopy_note": null
+}
+""",
+    ),
+    # boundary-hvf: progression
+    (
+        ['boundary-hvf', 'M(0, 1; (3,1), (3,1))'],
+        """\
+invariant: M(0, 1; (3,1), (3,1))
+horizontal vector field: yes
+  via fiberwise covering of M(0, 1; (3,2), (3,2)) with degrees d = 2 (mod 3), d != 0
+tangent/transverse to the boundary possible: no
+infinitely many homotopy classes of horizontal vector fields
+""",
+    ),
+    (
+        ['boundary-hvf', 'M(0, 1; (3,1), (3,1))', '--json'],
+        """\
+{
+  "input": "M(0, 1; (3,1), (3,1))",
+  "normalized_invariant": "M(0, 1; (3,1), (3,1))",
+  "base_orbifold": "3 3 b1",
+  "hvf": {
+    "exists": true,
+    "mechanisms": [
+      {
+        "kind": "covering",
+        "degrees": {
+          "kind": "progression",
+          "residue": 2,
+          "modulus": 3,
+          "include_zero": false
+        },
+        "target": "M(0, 1; (3,2), (3,2))"
+      }
+    ],
+    "degrees": {
+      "kind": "progression",
+      "residue": 2,
+      "modulus": 3,
+      "include_zero": false
+    },
+    "target": "M(0, 1; (3,2), (3,2))",
+    "obstruction": null
+  },
+  "boundary_tangency": false,
+  "homotopy_note": "infinitely many homotopy classes of horizontal vector fields"
+}
+""",
+    ),
+    (
+        ['homotopy', 'M(1; (1,0))'],
+        """\
+degrees: d = 0 (mod 1), d != 0, and d = 0
+cohomology rank: 2
+unique up to homotopy: no
+""",
+    ),
+    (
+        ['homotopy', 'M(1; (1,0))', '--json'],
+        """\
+{
+  "input": "M(1; (1,0))",
+  "invariant": "M(1;)",
+  "homotopy": {
+    "degrees": {
+      "kind": "progression",
+      "residue": 0,
+      "modulus": 1,
+      "include_zero": true
+    },
+    "cohomology_rank": 2,
+    "unique_up_to_homotopy": false
+  },
+  "note": null
+}
+""",
+    ),
+    (
+        ['homotopy', 'M(1; (1,5))'],
+        """\
+degrees: d = 0 only
+cohomology rank: 2
+unique up to homotopy: no
+""",
+    ),
+    (
+        ['homotopy', 'M(1; (1,5))', '--json'],
+        """\
+{
+  "input": "M(1; (1,5))",
+  "invariant": "M(1; (1,5))",
+  "homotopy": {
+    "degrees": {
+      "kind": "empty",
+      "include_zero": true
+    },
+    "cohomology_rank": 2,
+    "unique_up_to_homotopy": false
+  },
+  "note": null
+}
+""",
+    ),
+    (
+        ['homotopy', 'M(0; (1,-1), (5,2), (5,2), (5,2))'],
+        """\
+degrees: d = 2
+cohomology rank: 0
+unique up to homotopy: yes
+""",
+    ),
+    (
+        ['homotopy', 'M(0; (1,-1), (5,2), (5,2), (5,2))', '--json'],
+        """\
+{
+  "input": "M(0; (1,-1), (5,2), (5,2), (5,2))",
+  "invariant": "M(0; (1,-1), (5,2), (5,2), (5,2))",
+  "homotopy": {
+    "degrees": {
+      "kind": "single",
+      "d": 2
+    },
+    "cohomology_rank": 0,
+    "unique_up_to_homotopy": true
+  },
+  "note": null
+}
+""",
+    ),
+    (
+        ['homotopy', 'M(0; (3,1), (3,1), (3,1))'],
+        """\
+no horizontal vector field exists
+""",
+    ),
+    (
+        ['homotopy', 'M(0; (3,1), (3,1), (3,1))', '--json'],
+        """\
+{
+  "input": "M(0; (3,1), (3,1), (3,1))",
+  "invariant": "M(0; (3,1), (3,1), (3,1))",
+  "homotopy": null,
+  "note": "no horizontal vector field exists"
+}
+""",
+    ),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("argv, expected", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+    def test_stdout(self, capsys, argv, expected):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out == expected

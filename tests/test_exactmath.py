@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seifert.errors import NotInvertible
-from seifert.exactmath import Congruence, crt_merge, ext_gcd, mod_inverse
+from seifert.exactmath import crt_merge, ext_gcd, mod_inverse
 
 
 def brute_ext_gcd(a, b):
@@ -74,6 +74,11 @@ class TestModInverse:
         with pytest.raises(NotInvertible):
             mod_inverse(2, 4)
 
+    def test_modulus_must_be_positive(self):
+        for m in (0, -5):
+            with pytest.raises(ValueError):
+                mod_inverse(1, m)
+
     @given(st.integers(-300, 300), st.integers(1, 120))
     def test_inverse_property(self, a, m):
         if math.gcd(a, m) != 1:
@@ -85,48 +90,51 @@ class TestModInverse:
             assert (a * r - 1) % m == 0 or m == 1
 
 
-congruences = st.builds(
-    Congruence, residue=st.integers(-40, 40), modulus=st.integers(1, 36)
-)
+congruences = st.tuples(st.integers(-40, 40), st.integers(1, 36))
 
 
-class TestCongruence:
-    def test_residue_canonicalized(self):
-        assert Congruence(-1, 3) == Congruence(2, 3)
-
-    def test_modulus_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Congruence(0, 0)
+def contains(c, d):
+    return (d - c[0]) % c[1] == 0
 
 
 class TestCrtMerge:
     def test_coprime_moduli(self):
         # frozen from the brute scan of d in 0..5 satisfying both classes
-        assert crt_merge(Congruence(1, 2), Congruence(1, 3)) == Congruence(1, 6)
+        assert crt_merge((1, 2), (1, 3)) == (1, 6)
 
     def test_same_modulus_clash(self):
-        assert crt_merge(Congruence(2, 3), Congruence(1, 3)) is None
+        assert crt_merge((2, 3), (1, 3)) is None
 
     def test_trivial_modulus_absorbed(self):
-        assert crt_merge(Congruence(0, 1), Congruence(4, 6)) == Congruence(4, 6)
+        assert crt_merge((0, 1), (4, 6)) == (4, 6)
 
     def test_non_coprime_moduli(self):
-        merged = crt_merge(Congruence(2, 4), Congruence(4, 6))
-        assert merged == Congruence(10, 12)
+        merged = crt_merge((2, 4), (4, 6))
+        assert merged == (10, 12)
+
+    def test_residue_canonicalized(self):
+        assert crt_merge((-1, 3), (0, 1)) == (2, 3)
+
+    def test_modulus_must_be_positive(self):
+        with pytest.raises(ValueError):
+            crt_merge((0, 0), (0, 1))
+        with pytest.raises(ValueError):
+            crt_merge((0, 1), (1, -2))
 
     @given(congruences, congruences)
     def test_merge_is_intersection(self, c1, c2):
         merged = crt_merge(c1, c2)
-        g = math.gcd(c1.modulus, c2.modulus)
-        solvable = (c1.residue - c2.residue) % g == 0
+        g = math.gcd(c1[1], c2[1])
+        solvable = (c1[0] - c2[0]) % g == 0
         assert (merged is not None) == solvable
-        lcm = math.lcm(c1.modulus, c2.modulus)
+        lcm = math.lcm(c1[1], c2[1])
         for d in range(-3 * lcm, 3 * lcm + 1):
-            in_both = c1.contains(d) and c2.contains(d)
-            in_merged = merged is not None and merged.contains(d)
+            in_both = contains(c1, d) and contains(c2, d)
+            in_merged = merged is not None and contains(merged, d)
             assert in_both == in_merged, d
         if merged is not None:
-            assert merged.modulus == lcm
+            assert merged[1] == lcm
+            assert 0 <= merged[0] < lcm
 
 
 @given(

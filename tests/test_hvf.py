@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import bounded_invariants, closed_invariants
 from seifert import (
@@ -197,6 +197,56 @@ class TestDecideHvfBoundary:
         lcm = math.lcm(*(a for a, _ in invariant.pairs), 1)
         solvable = bool(brute_degrees(invariant, range(-3 * lcm, 3 * lcm + 1)))
         assert decision.exists == (not base.cone_orders or solvable)
+
+
+def brute_clash(pairs):
+    """Oracle: scan d over one period for each prefix of the pair list.  ``j``
+    is the first pair whose prefix has no common solution, ``i`` the first
+    earlier pair with no solution in common with pair ``j``; None when every
+    prefix is solvable."""
+    period = math.lcm(*(a for a, _ in pairs))
+    solutions = [
+        {d for d in range(period) if (d * b + 1) % a == 0} for a, b in pairs
+    ]
+    common = set(range(period))
+    for j, sol in enumerate(solutions):
+        common &= sol
+        if not common:
+            i = next(k for k in range(j) if not solutions[k] & sol)
+            return CongruenceClash(i, j)
+    return None
+
+
+@st.composite
+def clash_prone_pairs(draw):
+    """Pairs in random order: alphas that share factors, unreduced betas, and
+    vacuous ``(1, b)`` pairs interleaved anywhere."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        a = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 10, 12]))
+        b = draw(st.integers(-40, 40).filter(lambda b, a=a: math.gcd(a, b) == 1))
+        pairs.append((a, b))
+    return pairs
+
+
+class TestClashIndices:
+    @settings(max_examples=300)
+    @given(clash_prone_pairs())
+    def test_closed_matches_oracle(self, pairs):
+        decision = decide_hvf(inv(0, *pairs))
+        expected = brute_clash(pairs)
+        if expected is None:
+            assert not isinstance(decision.obstruction, CongruenceClash)
+        else:
+            assert decision.obstruction == expected
+
+    @settings(max_examples=300)
+    @given(clash_prone_pairs(), st.integers(1, 2))
+    def test_boundary_matches_oracle(self, pairs, boundary):
+        decision = decide_hvf_boundary(inv(0, *pairs, boundary=boundary))
+        expected = brute_clash(pairs)
+        assert decision.obstruction == expected
+        assert decision.exists == (expected is None)
 
 
 class TestBoundaryTangency:

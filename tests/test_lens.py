@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from conftest import unoriented_key
 from seifert import (
     MarkedLens,
     SeifertInvariant,
@@ -16,6 +17,7 @@ from seifert import (
     homeomorphic,
     lens_cover,
     lens_from_invariant,
+    manifold_fiberings,
     manifold_markings,
     marked_equal,
     normalize,
@@ -400,6 +402,44 @@ class TestManifoldMarkings:
             manifold_markings(-5, 1)
         with pytest.raises(NotCoprime):
             manifold_markings(6, 3)
+
+
+
+class TestManifoldFiberings:
+    def test_matches_marking_union(self):
+        # oracle: the all-pairs fiberings of every marking, plus the
+        # projective-plane fibering found by scanning alpha
+        for p in range(0, 13):
+            for q in range(p) if p else (1,):
+                if math.gcd(p, q) != 1:
+                    continue
+                expected = {
+                    unoriented_key(f)
+                    for pp, qq in manifold_markings(p, q)
+                    for f in _all_pairs_fiberings(MarkedLens(pp, qq), 4)
+                }
+                for alpha in range(1, p // 4 + 1):
+                    if 4 * alpha == p and q % p in ((2 * alpha + 1) % p, (2 * alpha - 1) % p):
+                        expected.add(unoriented_key(inv(-1, (alpha, -1))))
+                found = manifold_fiberings(p, q, 4)
+                keys = [unoriented_key(f) for f in found]
+                assert keys == sorted(set(keys)), (p, q)
+                assert set(keys) == expected, (p, q)
+
+    def test_projective_plane_fibering(self):
+        # L(12, q) carries it for q = 6 +- 1 only
+        witness = unoriented_key(inv(-1, (3, -1)))
+        for q, present in ((5, True), (7, True), (1, False), (11, False)):
+            keys = {unoriented_key(f) for f in manifold_fiberings(12, q, 3)}
+            assert (witness in keys) == present, q
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            manifold_fiberings(-4, 1, 3)
+        with pytest.raises(NotCoprime):
+            manifold_fiberings(6, 3, 3)
+        with pytest.raises(ValueError):
+            manifold_fiberings(5, 1, 0)
 
 
 class TestCrossValidation:

@@ -70,6 +70,15 @@ class TestParseOrbifold:
             parse_orbifold("2 \u00b2")
         assert exc.value.position == 2
 
+    def test_non_ascii_space_rejected(self):
+        # ideographic space and no-break space are not separators
+        with pytest.raises(ParseError) as exc:
+            parse_orbifold("2\u30003 7")
+        assert exc.value.position == 0
+        with pytest.raises(ParseError) as exc:
+            parse_orbifold("2 3\u00a0")
+        assert exc.value.position == 2
+
 
 class TestPrintOrbifold:
     def test_cones(self):
@@ -129,6 +138,15 @@ class TestParseInvariant:
         with pytest.raises(ParseError) as exc:
             parse_invariant("(0; (\u0663,1))")
         assert exc.value.position == 5
+
+    def test_non_ascii_space_rejected(self):
+        # ideographic space and no-break space are not separators
+        with pytest.raises(ParseError) as exc:
+            parse_invariant("M(0;\u3000(2,1))")
+        assert exc.value.position == 4
+        with pytest.raises(ParseError) as exc:
+            parse_invariant("M(0; (2,\u00a01))")
+        assert exc.value.position == 8
 
 
 class TestPrintInvariant:
