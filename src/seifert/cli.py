@@ -9,9 +9,10 @@ validation errors, 1 for an internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-import traceback
+from fractions import Fraction
 
 from .errors import NoHvf, SeifertError
 from .hvf import Covering, SurfaceSection, boundary_tangency, decide_hvf_boundary
@@ -148,8 +149,8 @@ def _cmd_hvf(args) -> int:
         f"invariant: {report['normalized_invariant']}",
         f"base orbifold: {report['base_orbifold']}",
         f"geometry: {report['geometry']}",
-        f"euler number: {euler_number(inv)}",
-        f"chi: {orb_mod.chi(base_orbifold(inv))}",
+        f"euler number: {Fraction(report['euler_number'])}",
+        f"chi: {Fraction(report['chi'])}",
         f"horizontal vector field: {'yes' if report['hvf']['exists'] else 'no'}",
     ]
     for mech in decision.mechanisms:
@@ -315,7 +316,9 @@ def _cmd_alternates(args) -> int:
     return _emit(args, payload, lines)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="seifert",
         description="Decide existence of horizontal vector fields on Seifert "
@@ -377,6 +380,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception:  # pragma: no cover - internal invariant violation
+        import traceback  # only here, to keep it off every query's import
+
         traceback.print_exc(file=sys.stderr)
         return 1
 

@@ -15,24 +15,28 @@ exactly the covering degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import BoundaryNotSupported, NoHvf, NonOrientedBase
-from .hvf import DegreeProgression, DegreeSet, EmptyDegrees, SingleDegree, allowable_degrees
+from .hvf import DegreeProgression, DegreeSet, EmptyDegrees, SingleDegree, _solve
 from .invariant import SeifertInvariant, base_orbifold
 from . import orbifold
 
 __all__ = ["ComponentCatalog", "homotopy_components"]
 
 
-@dataclass(frozen=True)
-class ComponentCatalog:
+class ComponentCatalog(Record):
     """Component set of the space of horizontal vector fields: one component
     per (degree, cohomology class) pair."""
 
+    __slots__ = ("degrees", "cohomology_rank", "unique_up_to_homotopy")
     degrees: DegreeSet
     cohomology_rank: int
     unique_up_to_homotopy: bool
+
+    def __init__(self, degrees, cohomology_rank, unique_up_to_homotopy):
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "cohomology_rank", cohomology_rank)
+        object.__setattr__(self, "unique_up_to_homotopy", unique_up_to_homotopy)
 
 
 def homotopy_components(inv: SeifertInvariant) -> ComponentCatalog:
@@ -47,7 +51,8 @@ def homotopy_components(inv: SeifertInvariant) -> ComponentCatalog:
         raise BoundaryNotSupported("homotopy classes are cataloged for closed fiberings")
     if inv.genus_code < 0:
         raise NonOrientedBase("homotopy classes are cataloged over oriented bases only")
-    return _catalog(inv, base_orbifold(inv), allowable_degrees(inv))
+    base = base_orbifold(inv)
+    return _catalog(inv, base, _solve(inv, base)[0])
 
 
 def _catalog(inv: SeifertInvariant, base, degrees: DegreeSet) -> ComponentCatalog:

@@ -20,9 +20,9 @@ pairs are rescanned to name the two that contradict each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import BoundaryNotSupported
 from .exactmath import crt_merge, mod_inverse
 from .invariant import (
@@ -51,15 +51,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EmptyDegrees:
+class EmptyDegrees(Record):
     """No covering degree works.
 
     ``include_zero`` is set only by the homotopy catalog, where the section
     mechanism contributes the lone degree 0 even though no covering exists.
     """
 
-    include_zero: bool = False
+    __slots__ = ("include_zero",)
+    include_zero: bool
+
+    def __init__(self, include_zero=False):
+        object.__setattr__(self, "include_zero", include_zero)
 
     def contains(self, d: int) -> bool:
         return d == 0 and self.include_zero
@@ -68,11 +71,14 @@ class EmptyDegrees:
         return not self.include_zero
 
 
-@dataclass(frozen=True)
-class SingleDegree:
+class SingleDegree(Record):
     """Exactly one covering degree, pinned by the Euler condition."""
 
+    __slots__ = ("d",)
     d: int
+
+    def __init__(self, d):
+        object.__setattr__(self, "d", d)
 
     def contains(self, d: int) -> bool:
         return d == self.d
@@ -81,13 +87,18 @@ class SingleDegree:
         return False
 
 
-@dataclass(frozen=True)
-class DegreeProgression:
+class DegreeProgression(Record):
     """All non-zero ``d = residue (mod modulus)``, plus 0 when ``include_zero``."""
 
+    __slots__ = ("residue", "modulus", "include_zero")
     residue: int
     modulus: int
-    include_zero: bool = False
+    include_zero: bool
+
+    def __init__(self, residue, modulus, include_zero=False):
+        object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "include_zero", include_zero)
 
     def contains(self, d: int) -> bool:
         if d == 0:
@@ -101,49 +112,68 @@ class DegreeProgression:
 DegreeSet = EmptyDegrees | SingleDegree | DegreeProgression
 
 
-@dataclass(frozen=True)
-class SurfaceSection:
+class SurfaceSection(Record):
     """Horizontal field pulled back from a nowhere-zero vector field on the base."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Covering:
+
+class Covering(Record):
     """Horizontal fields arising from fiberwise coverings of the base's unit
     tangent bundle, one family per allowable degree."""
 
+    __slots__ = ("degrees", "target")
     degrees: DegreeSet
     target: SeifertInvariant
 
+    def __init__(self, degrees, target):
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "target", target)
 
-@dataclass(frozen=True)
-class CongruenceClash:
+
+class CongruenceClash(Record):
     """Exceptional fibers ``i`` and ``j`` impose incompatible degree congruences."""
 
+    __slots__ = ("i", "j")
     i: int
     j: int
 
+    def __init__(self, i, j):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
 
-@dataclass(frozen=True)
-class EulerMismatch:
+
+class EulerMismatch(Record):
     """The congruences are solvable but no degree satisfies ``d * e = chi``.
 
     ``pin`` is the forced value chi/e when that ratio is an integer (it may
     be zero or sit outside the congruence class), and None otherwise.
     """
 
+    __slots__ = ("euler", "chi", "pin")
     euler: Fraction
     chi: Fraction
     pin: int | None
 
+    def __init__(self, euler, chi, pin):
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "pin", pin)
 
-@dataclass(frozen=True)
-class HvfDecision:
+
+class HvfDecision(Record):
     """Verdict plus the mechanisms that realize it; when no horizontal vector
     field exists, ``obstruction`` names the first failed condition."""
 
+    __slots__ = ("exists", "mechanisms", "obstruction")
     exists: bool
     mechanisms: tuple
     obstruction: CongruenceClash | EulerMismatch | None
+
+    def __init__(self, exists, mechanisms, obstruction):
+        object.__setattr__(self, "exists", exists)
+        object.__setattr__(self, "mechanisms", mechanisms)
+        object.__setattr__(self, "obstruction", obstruction)
 
 
 def _merge_congruences(pairs):

@@ -22,9 +22,9 @@ else in this module is phrased in terms of that canonical form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import BoundaryNotSupported, MixedBoundary, NotCoprime, ZeroDegree
 
 __all__ = [
@@ -41,36 +41,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeifertInvariant:
+class SeifertInvariant(Record):
     """``(g; (a1,b1), ..., (an,bn))`` with an optional boundary count.
 
     Every pair needs ``a_i >= 1`` and ``gcd(a_i, b_i) = 1``; violating pairs
     raise NotCoprime with the offending index.
     """
 
+    __slots__ = ("genus_code", "pairs", "boundary_count")
     genus_code: int
-    pairs: tuple[tuple[int, int], ...] = ()
-    boundary_count: int = 0
+    pairs: tuple[tuple[int, int], ...]
+    boundary_count: int
 
-    def __post_init__(self):
-        pairs = tuple((int(a), int(b)) for a, b in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
+    def __init__(self, genus_code, pairs=(), boundary_count=0):
+        pairs = tuple((int(a), int(b)) for a, b in pairs)
         for i, (a, b) in enumerate(pairs):
             if a < 1:
                 raise ValueError(f"pair {i}: alpha must be a positive integer")
             if math.gcd(a, b) != 1:
                 raise NotCoprime(i)
-        if self.boundary_count < 0:
+        if boundary_count < 0:
             raise ValueError("boundary count must be non-negative")
+        object.__setattr__(self, "genus_code", genus_code)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "boundary_count", boundary_count)
 
     @property
     def closed(self) -> bool:
         return self.boundary_count == 0
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(Record):
     """Normal form of an invariant.
 
     Every beta is reduced into ``[0, alpha)``, pairs with ``alpha = 1`` are
@@ -80,10 +81,17 @@ class CanonicalForm:
     the shifts are free moves, so ``b`` is None.
     """
 
+    __slots__ = ("genus_code", "boundary_count", "pairs", "b")
     genus_code: int
     boundary_count: int
     pairs: tuple[tuple[int, int], ...]
     b: int | None
+
+    def __init__(self, genus_code, boundary_count, pairs, b):
+        object.__setattr__(self, "genus_code", genus_code)
+        object.__setattr__(self, "boundary_count", boundary_count)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "b", b)
 
     def invariant(self) -> SeifertInvariant:
         """A representative SeifertInvariant, the ``(1, b)`` pair first."""
@@ -168,13 +176,18 @@ def base_orbifold(inv: SeifertInvariant):
     )
 
 
-@dataclass(frozen=True)
-class AlternateFibering:
+class AlternateFibering(Record):
     """A different Seifert fibering carried by the same underlying manifold."""
 
+    __slots__ = ("kind", "invariant", "note")
     kind: str  # "lens_dual", "klein_ut", or "lens_family"
     invariant: SeifertInvariant | None
     note: str
+
+    def __init__(self, kind, invariant, note):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "invariant", invariant)
+        object.__setattr__(self, "note", note)
 
 
 def _sign(x: int) -> int:

@@ -28,9 +28,9 @@ horizontal vector field exactly when ``p != 0`` and ``q = -1 (mod p)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import Record
 from .errors import IncompatibleCover, NotALensForm, NotCoprime, ZeroDegree
 from .exactmath import ext_gcd
 from .invariant import SeifertInvariant, normalize, reverse_orientation
@@ -55,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MarkedLens:
+class MarkedLens(Record):
     """``L(p, q)`` with the marking representative canonicalized.
 
     ``q`` is reduced into ``[0, |p|)`` when ``p != 0``; for ``p = 0`` (the
@@ -64,13 +63,15 @@ class MarkedLens:
     canonical representative is 1.
     """
 
+    __slots__ = ("p", "q")
     p: int
     q: int
 
-    def __post_init__(self):
-        if math.gcd(self.p, self.q) != 1:
-            raise NotCoprime(message=f"p = {self.p} and q = {self.q} are not coprime")
-        object.__setattr__(self, "q", self.q % abs(self.p) if self.p != 0 else 1)
+    def __init__(self, p, q):
+        if math.gcd(p, q) != 1:
+            raise NotCoprime(message=f"p = {p} and q = {q} are not coprime")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q % abs(p) if p != 0 else 1)
 
     def __str__(self):
         return f"L({self.p}, {self.q})"
@@ -171,10 +172,17 @@ class Theorem1Case(Enum):
     NONE_HAVE = "none_have"
 
 
-@dataclass(frozen=True)
-class LensClassification:
+class LensClassification(Record):
+    """The Theorem 1 case of a lens space, with the one fibering that has a
+    horizontal vector field when there is exactly one."""
+
+    __slots__ = ("case", "witness")
     case: Theorem1Case
-    witness: SeifertInvariant | None = None
+    witness: SeifertInvariant | None
+
+    def __init__(self, case, witness=None):
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "witness", witness)
 
 
 def classify_lens(p: int, q: int) -> LensClassification:

@@ -15,10 +15,10 @@ Euler number equals chi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from ._record import Record
 from .errors import BoundaryNotSupported
 from .invariant import SeifertInvariant
 
@@ -45,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Orbifold:
+class Orbifold(Record):
     """A compact 2-orbifold with cone points.
 
     ``genus`` counts handles when orientable and cross caps when not (so a
@@ -54,22 +53,26 @@ class Orbifold:
     accepted and silently dropped, making the representation canonical.
     """
 
+    __slots__ = ("orientable", "genus", "cone_orders", "boundary_count")
     orientable: bool
     genus: int
-    cone_orders: tuple[int, ...] = ()
-    boundary_count: int = 0
+    cone_orders: tuple[int, ...]
+    boundary_count: int
 
-    def __post_init__(self):
-        if self.genus < 0:
+    def __init__(self, orientable, genus, cone_orders=(), boundary_count=0):
+        if genus < 0:
             raise ValueError("genus must be non-negative")
-        if not self.orientable and self.genus == 0:
+        if not orientable and genus == 0:
             raise ValueError("a non-orientable surface has at least one cross cap")
-        if self.boundary_count < 0:
+        if boundary_count < 0:
             raise ValueError("boundary count must be non-negative")
-        orders = tuple(int(a) for a in self.cone_orders)
+        orders = tuple(int(a) for a in cone_orders)
         if any(a < 1 for a in orders):
             raise ValueError("cone orders must be positive integers")
+        object.__setattr__(self, "orientable", orientable)
+        object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "cone_orders", tuple(sorted(a for a in orders if a > 1)))
+        object.__setattr__(self, "boundary_count", boundary_count)
 
     @property
     def closed(self) -> bool:

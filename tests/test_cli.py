@@ -1,9 +1,14 @@
+import ast
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +215,23 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestImportFootprint:
+    def test_cli_import_skips_dataclasses_inspect_traceback(self):
+        # one process answers one query, so every module the import pulls in
+        # is paid for on every query
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", "import seifert.cli, sys; print(sorted(sys.modules))"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        loaded = set(ast.literal_eval(out))
+        assert "seifert.cli" in loaded
+        assert not {"dataclasses", "inspect", "traceback"} & loaded
+
+
 
 # The malformations of the benchmark's report stream, plus non-ASCII text.
 MALFORMATIONS = (
@@ -280,8 +302,7 @@ class TestExitCodeFuzz:
             assert "Traceback" not in err.getvalue(), argv
             codes[code] += 1
         # no input may make a query do unbounded work; 2,000 queries take
-        # about 5.5 s on a 2-CPU x86-64 host, most of it spent building the
-        # argparse parser that main() makes on every call
+        # about 0.3 s on a 2-CPU x86-64 host
         assert time.perf_counter() - start < 30
         # both outcomes are exercised
         assert min(codes.values()) > 400, codes
