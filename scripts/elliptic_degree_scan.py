@@ -4,41 +4,16 @@ two and listing the two-fiber family where degree two occurs.
 """
 
 import argparse
-import itertools
-import math
 
 from seifert import (
-    SeifertInvariant,
     SingleDegree,
     allowable_degrees,
+    base_orbifold,
+    elliptic_orbifolds,
+    fiberings_over,
     print_invariant,
     print_orbifold,
-    projective_plane,
-    sphere,
 )
-from seifert.invariant import base_orbifold
-
-
-def elliptic_bases(max_p):
-    yield sphere()
-    yield projective_plane()
-    for p in range(2, max_p + 1):
-        yield sphere(p, p)
-        yield sphere(2, 2, p)
-        yield projective_plane(p)
-    for q in (3, 4, 5):
-        yield sphere(2, 3, q)
-
-
-def invariants_over(base, b_range):
-    genus = base.genus if base.orientable else -base.genus
-    choices = [
-        [c for c in range(1, a) if math.gcd(a, c) == 1] for a in base.cone_orders
-    ]
-    for betas in itertools.product(*choices):
-        cones = tuple(zip(base.cone_orders, betas))
-        for b in b_range:
-            yield SeifertInvariant(genus, cones + ((1, b),) if b else cones)
 
 
 def main():
@@ -49,8 +24,8 @@ def main():
 
     hits = []
     scanned = 0
-    for base in elliptic_bases(args.max_order):
-        for inv in invariants_over(base, range(-args.b_range, args.b_range + 1)):
+    for base in elliptic_orbifolds(args.max_order):
+        for inv in fiberings_over(base, range(-args.b_range, args.b_range + 1)):
             scanned += 1
             degrees = allowable_degrees(inv)
             if isinstance(degrees, SingleDegree) and degrees.d > 0:

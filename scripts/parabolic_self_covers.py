@@ -16,7 +16,7 @@ from seifert import (
     sphere,
     unit_tangent_invariant,
 )
-from seifert.notation import degree_set_str
+from seifert.notation import degree_set_json, degree_set_str
 
 BASES = [
     Orbifold(True, 1),
@@ -34,9 +34,10 @@ def main():
     for base in BASES:
         ut = unit_tangent_invariant(base)
         symmetric = equal(ut, reverse_orientation(ut))
+        degrees = degree_set_json(allowable_degrees(ut))
         print(
             f"{print_orbifold(base):>10}  {print_invariant(ut):<42} "
-            f"{'yes' if symmetric else 'no':<9} {degree_set_str(allowable_degrees(ut))}"
+            f"{'yes' if symmetric else 'no':<9} {degree_set_str(degrees)}"
         )
 
 

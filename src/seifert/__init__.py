@@ -39,6 +39,8 @@ from .orbifold import (
     chi,
     chi_underlying,
     elliptic_family,
+    elliptic_orbifolds,
+    fiberings_over,
     geometry_class,
     is_bad,
     klein_bottle,

@@ -15,30 +15,23 @@ import sys
 from fractions import Fraction
 
 from .errors import NoHvf, SeifertError
-from .hvf import Covering, SurfaceSection, boundary_tangency, decide_hvf_boundary
+from .hvf import boundary_tangency
 from .homotopy import homotopy_components
-from .invariant import (
-    alternate_fiberings,
-    base_orbifold,
-    euler_number,
-    fiberwise_quotient,
-    normalize,
-)
+from .invariant import alternate_fiberings, euler_number, fiberwise_quotient, normalize
 from .lens import (
     MarkedLens,
     classify_lens,
     enumerate_lens_fiberings,
-    fibered_lens_hvf,
     homeomorphic,
     lens_from_invariant,
     marked_equal,
     oriented_diffeomorphic,
 )
 from .notation import (
-    _report,
     catalog_json,
-    decision_json,
     degree_set_str,
+    invariant_report,
+    lens_json,
     parse_invariant,
     parse_orbifold,
     print_invariant,
@@ -48,14 +41,18 @@ from .notation import (
 from . import orbifold as orb_mod
 
 
-def _mechanism_str(mech) -> str:
-    if isinstance(mech, SurfaceSection):
-        return "section of the fibering over the base surface"
-    assert isinstance(mech, Covering)
-    return (
-        f"fiberwise covering of {print_invariant(mech.target)} "
-        f"with degrees {degree_set_str(mech.degrees)}"
-    )
+def _decision_lines(hvf: dict) -> list[str]:
+    """The verdict and its mechanisms, from the report's ``hvf`` section."""
+    lines = [f"horizontal vector field: {'yes' if hvf['exists'] else 'no'}"]
+    for mech in hvf["mechanisms"]:
+        if mech["kind"] == "surface_section":
+            lines.append("  via section of the fibering over the base surface")
+        else:
+            lines.append(
+                f"  via fiberwise covering of {mech['target']} "
+                f"with degrees {degree_set_str(mech['degrees'])}"
+            )
+    return lines
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> int:
@@ -69,10 +66,11 @@ def _emit(args, payload: dict, human_lines: list[str]) -> int:
 
 def _cmd_classify_orbifold(args) -> int:
     orb = parse_orbifold(args.orbifold)
+    x = orb_mod.chi(orb)
     payload = {
         "input": args.orbifold,
         "orbifold": print_orbifold(orb),
-        "chi": rational_str(orb_mod.chi(orb)),
+        "chi": rational_str(x),
         "chi_underlying": orb_mod.chi_underlying(orb),
         "geometry": None,
         "bad": None,
@@ -80,7 +78,7 @@ def _cmd_classify_orbifold(args) -> int:
     }
     lines = [
         f"orbifold: {payload['orbifold']}",
-        f"chi: {orb_mod.chi(orb)}",
+        f"chi: {x}",
         f"underlying surface chi: {payload['chi_underlying']}",
     ]
     if orb.closed:
@@ -105,17 +103,15 @@ def _cmd_classify_orbifold(args) -> int:
 def _cmd_ut(args) -> int:
     orb = parse_orbifold(args.orbifold)
     inv = orb_mod.unit_tangent_invariant(orb)
+    e = euler_number(inv)
     payload = {
         "input": args.orbifold,
         "orbifold": print_orbifold(orb),
         "invariant": print_invariant(inv),
-        "euler_number": rational_str(euler_number(inv)),
+        "euler_number": rational_str(e),
         "chi": rational_str(orb_mod.chi(orb)),
     }
-    lines = [
-        f"unit tangent bundle: {payload['invariant']}",
-        f"euler number: {euler_number(inv)}",
-    ]
+    lines = [f"unit tangent bundle: {payload['invariant']}", f"euler number: {e}"]
     return _emit(args, payload, lines)
 
 
@@ -144,19 +140,17 @@ def _cmd_hvf(args) -> int:
     inv = parse_invariant(args.invariant)
     if not inv.closed:
         raise SeifertError("invariant has boundary; use the boundary-hvf subcommand")
-    report, decision = _report(args.invariant, inv)
+    report = invariant_report(args.invariant, inv)
     lines = [
         f"invariant: {report['normalized_invariant']}",
         f"base orbifold: {report['base_orbifold']}",
         f"geometry: {report['geometry']}",
         f"euler number: {Fraction(report['euler_number'])}",
         f"chi: {Fraction(report['chi'])}",
-        f"horizontal vector field: {'yes' if report['hvf']['exists'] else 'no'}",
+        *_decision_lines(report["hvf"]),
     ]
-    for mech in decision.mechanisms:
-        lines.append(f"  via {_mechanism_str(mech)}")
-    if decision.obstruction is not None:
-        obs = report["hvf"]["obstruction"]
+    obs = report["hvf"]["obstruction"]
+    if obs is not None:
         if obs["kind"] == "congruence_clash":
             lines.append(
                 f"  obstruction: exceptional fibers {obs['i']} and {obs['j']} "
@@ -184,12 +178,7 @@ def _cmd_quotient(args) -> int:
 def _cmd_lens(args) -> int:
     inv = parse_invariant(args.invariant)
     lens = lens_from_invariant(inv)
-    payload = {
-        "input": args.invariant,
-        "p": lens.p,
-        "q": lens.q,
-        "fibered_hvf": fibered_lens_hvf(lens),
-    }
+    payload = {"input": args.invariant, **lens_json(lens)}
     lines = [
         str(lens),
         f"horizontal vector field: {'yes' if payload['fibered_hvf'] else 'no'}",
@@ -249,11 +238,11 @@ def _cmd_homotopy(args) -> int:
     except NoHvf:
         payload["note"] = "no horizontal vector field exists"
         return _emit(args, payload, [payload["note"]])
-    payload["homotopy"] = catalog_json(catalog)
+    payload["homotopy"] = shown = catalog_json(catalog)
     lines = [
-        f"degrees: {degree_set_str(catalog.degrees)}",
-        f"cohomology rank: {catalog.cohomology_rank}",
-        f"unique up to homotopy: {'yes' if catalog.unique_up_to_homotopy else 'no'}",
+        f"degrees: {degree_set_str(shown['degrees'])}",
+        f"cohomology rank: {shown['cohomology_rank']}",
+        f"unique up to homotopy: {'yes' if shown['unique_up_to_homotopy'] else 'no'}",
     ]
     return _emit(args, payload, lines)
 
@@ -262,30 +251,21 @@ def _cmd_boundary_hvf(args) -> int:
     inv = parse_invariant(args.invariant)
     if inv.closed:
         raise SeifertError("invariant is closed; use the hvf subcommand")
-    decision = decide_hvf_boundary(inv)
+    report = invariant_report(args.invariant, inv)
     note = None
-    if decision.exists:
+    if report["hvf"]["exists"]:
         # one horizontal field gives infinitely many homotopy classes with
         # boundary: the degree repeats modulo the lcm of the cone orders
         note = "infinitely many homotopy classes of horizontal vector fields"
-    payload = {
-        "input": args.invariant,
-        "normalized_invariant": print_invariant(inv),
-        "base_orbifold": print_orbifold(base_orbifold(inv)),
-        "hvf": decision_json(decision),
-        "boundary_tangency": boundary_tangency(inv),
-        "homotopy_note": note,
-    }
+    keys = ("input", "normalized_invariant", "base_orbifold", "hvf")
+    payload = {key: report[key] for key in keys}
+    payload.update(boundary_tangency=boundary_tangency(inv), homotopy_note=note)
     lines = [
         f"invariant: {payload['normalized_invariant']}",
-        f"horizontal vector field: {'yes' if decision.exists else 'no'}",
-    ]
-    for mech in decision.mechanisms:
-        lines.append(f"  via {_mechanism_str(mech)}")
-    lines.append(
+        *_decision_lines(payload["hvf"]),
         "tangent/transverse to the boundary possible: "
-        f"{'yes' if payload['boundary_tangency'] else 'no'}"
-    )
+        f"{'yes' if payload['boundary_tangency'] else 'no'}",
+    ]
     if note:
         lines.append(note)
     return _emit(args, payload, lines)
@@ -376,7 +356,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (SeifertError, ValueError) as err:
+    except ValueError as err:  # SeifertError subclasses ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception:  # pragma: no cover - internal invariant violation

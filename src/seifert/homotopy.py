@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import BoundaryNotSupported, NoHvf, NonOrientedBase
-from .hvf import DegreeProgression, DegreeSet, EmptyDegrees, SingleDegree, _solve
-from .invariant import SeifertInvariant, base_orbifold
-from . import orbifold
+from .hvf import DegreeProgression, DegreeSet, EmptyDegrees, SingleDegree, allowable_degrees
+from .invariant import SeifertInvariant
 
 __all__ = ["ComponentCatalog", "homotopy_components"]
 
@@ -51,15 +50,14 @@ def homotopy_components(inv: SeifertInvariant) -> ComponentCatalog:
         raise BoundaryNotSupported("homotopy classes are cataloged for closed fiberings")
     if inv.genus_code < 0:
         raise NonOrientedBase("homotopy classes are cataloged over oriented bases only")
-    base = base_orbifold(inv)
-    return _catalog(inv, base, _solve(inv, base)[0])
+    return _catalog(inv, allowable_degrees(inv))
 
 
-def _catalog(inv: SeifertInvariant, base, degrees: DegreeSet) -> ComponentCatalog:
-    """The catalog of a closed fibering over the oriented orbifold ``base``
-    with covering degrees ``degrees``."""
-    if orbifold.is_torus(base):
-        # the section mechanism adds the degree-0 components
+def _catalog(inv: SeifertInvariant, degrees: DegreeSet) -> ComponentCatalog:
+    """The catalog of a closed fibering over an oriented base with covering
+    degrees ``degrees``."""
+    if inv.genus_code == 1 and all(a == 1 for a, _ in inv.pairs):
+        # over the bare torus the section mechanism adds the degree-0 components
         if isinstance(degrees, DegreeProgression):
             degrees = DegreeProgression(degrees.residue, degrees.modulus, include_zero=True)
         elif isinstance(degrees, EmptyDegrees):

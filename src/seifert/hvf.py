@@ -25,13 +25,7 @@ from fractions import Fraction
 from ._record import Record
 from .errors import BoundaryNotSupported
 from .exactmath import crt_merge, mod_inverse
-from .invariant import (
-    CanonicalForm,
-    SeifertInvariant,
-    base_orbifold,
-    euler_number,
-    normalize,
-)
+from .invariant import SeifertInvariant, base_orbifold, euler_number, normalize
 from . import orbifold
 
 __all__ = [
@@ -235,20 +229,36 @@ def allowable_degrees(inv: SeifertInvariant) -> DegreeSet:
     return _solve(inv, base_orbifold(inv))[0]
 
 
+def _decide(inv: SeifertInvariant) -> HvfDecision:
+    """The one decision rule, closed or bounded.
+
+    The section mechanism needs a bare base surface that carries a
+    nowhere-zero vector field: any bounded one, or chi = 0 when closed (the
+    torus and the Klein bottle).  The covering mechanism needs a non-empty
+    degree set; its target is the unit tangent bundle of the base, which
+    with boundary is ``(g, n; (a_i, -1)...)``, the integer pair absorbed.
+    """
+    base = base_orbifold(inv)
+    mechanisms = []
+    if not base.cone_orders and (not inv.closed or orbifold.chi_underlying(base) == 0):
+        mechanisms.append(SurfaceSection())
+    degrees, obstruction = _solve(inv, base)
+    if not degrees.is_empty():
+        if inv.closed:
+            ut = orbifold.unit_tangent_invariant(base)
+        else:
+            cones = tuple((a, -1) for a in base.cone_orders)
+            ut = SeifertInvariant(inv.genus_code, cones, inv.boundary_count)
+        mechanisms.append(Covering(degrees, normalize(ut).invariant()))
+    exists = bool(mechanisms)
+    return HvfDecision(exists, tuple(mechanisms), None if exists else obstruction)
+
+
 def decide_hvf(inv: SeifertInvariant) -> HvfDecision:
     """Decide existence of a horizontal vector field on a closed fibering."""
     if not inv.closed:
         raise BoundaryNotSupported("use decide_hvf_boundary for bounded fiberings")
-    base = base_orbifold(inv)
-    mechanisms = []
-    if orbifold.is_torus(base) or orbifold.is_klein_bottle(base):
-        mechanisms.append(SurfaceSection())
-    degrees, obstruction = _solve(inv, base)
-    if not degrees.is_empty():
-        target = normalize(orbifold.unit_tangent_invariant(base)).invariant()
-        mechanisms.append(Covering(degrees, target))
-    exists = bool(mechanisms)
-    return HvfDecision(exists, tuple(mechanisms), None if exists else obstruction)
+    return _decide(inv)
 
 
 def decide_hvf_boundary(inv: SeifertInvariant) -> HvfDecision:
@@ -260,21 +270,7 @@ def decide_hvf_boundary(inv: SeifertInvariant) -> HvfDecision:
     """
     if inv.closed:
         raise ValueError("invariant has no boundary; use decide_hvf")
-    base = base_orbifold(inv)
-    mechanisms = []
-    if not base.cone_orders:
-        mechanisms.append(SurfaceSection())
-    degrees, clash = _solve(inv, base)
-    if not degrees.is_empty():
-        target = CanonicalForm(
-            inv.genus_code,
-            inv.boundary_count,
-            tuple(sorted((a, a - 1) for a, _ in inv.pairs if a >= 2)),
-            None,
-        ).invariant()
-        mechanisms.append(Covering(degrees, target))
-    exists = bool(mechanisms)
-    return HvfDecision(exists, tuple(mechanisms), None if exists else clash)
+    return _decide(inv)
 
 
 def boundary_tangency(inv: SeifertInvariant) -> bool:

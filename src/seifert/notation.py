@@ -36,7 +36,6 @@ from .errors import NoHvf, NotALensForm, ParseError
 from .hvf import (
     Covering,
     CongruenceClash,
-    DegreeProgression,
     DegreeSet,
     EmptyDegrees,
     EulerMismatch,
@@ -225,15 +224,15 @@ def degree_set_json(ds: DegreeSet) -> dict:
     }
 
 
-def degree_set_str(ds: DegreeSet) -> str:
-    """The degree set in words, as the human-readable CLI output prints it."""
-    if isinstance(ds, EmptyDegrees):
-        return "d = 0 only" if ds.include_zero else "none"
-    if isinstance(ds, SingleDegree):
-        return f"d = {ds.d}"
-    assert isinstance(ds, DegreeProgression)
-    text = f"d = {ds.residue} (mod {ds.modulus}), d != 0"
-    if ds.include_zero:
+def degree_set_str(ds: dict) -> str:
+    """A degree set in words, from its ``degree_set_json`` form, as the
+    human-readable CLI output prints it."""
+    if ds["kind"] == "empty":
+        return "d = 0 only" if ds["include_zero"] else "none"
+    if ds["kind"] == "single":
+        return f"d = {ds['d']}"
+    text = f"d = {ds['residue']} (mod {ds['modulus']}), d != 0"
+    if ds["include_zero"]:
         text += ", and d = 0"
     return text
 
@@ -290,8 +289,13 @@ def lens_json(lens: MarkedLens) -> dict:
     return {"p": lens.p, "q": lens.q, "fibered_hvf": fibered_lens_hvf(lens)}
 
 
-def _report(text: str, inv: SeifertInvariant) -> tuple[dict, HvfDecision]:
-    """The report of ``invariant_report`` together with the decision it shows."""
+def invariant_report(text: str, inv: SeifertInvariant) -> dict:
+    """The full structured report for one invariant.
+
+    Field names are frozen: input, normalized_invariant, base_orbifold,
+    geometry, euler_number, chi, hvf, and the optional lens and homotopy
+    sections.  Bounded invariants have null geometry and euler_number.
+    """
     base = base_orbifold(inv)
     if inv.closed:
         geometry = orb_mod.geometry_class(base).value
@@ -319,17 +323,7 @@ def _report(text: str, inv: SeifertInvariant) -> tuple[dict, HvfDecision]:
             covering = _covering(decision)
             degrees = covering.degrees if covering else EmptyDegrees()
             try:
-                report["homotopy"] = catalog_json(_catalog(inv, base, degrees))
+                report["homotopy"] = catalog_json(_catalog(inv, degrees))
             except NoHvf:
                 pass
-    return report, decision
-
-
-def invariant_report(text: str, inv: SeifertInvariant) -> dict:
-    """The full structured report for one invariant.
-
-    Field names are frozen: input, normalized_invariant, base_orbifold,
-    geometry, euler_number, chi, hvf, and the optional lens and homotopy
-    sections.  Bounded invariants have null geometry and euler_number.
-    """
-    return _report(text, inv)[0]
+    return report

@@ -15,6 +15,8 @@ Euler number equals chi.
 
 from __future__ import annotations
 
+import itertools
+import math
 from enum import Enum
 from fractions import Fraction
 
@@ -37,7 +39,9 @@ __all__ = [
     "geometry_class",
     "elliptic_family",
     "parabolic_family",
+    "elliptic_orbifolds",
     "unit_tangent_invariant",
+    "fiberings_over",
     "is_torus",
     "is_klein_bottle",
     "is_annulus",
@@ -198,6 +202,16 @@ def parabolic_family(orb: Orbifold) -> str | None:
     return None
 
 
+def elliptic_orbifolds(max_order: int) -> list[Orbifold]:
+    """Every closed elliptic orbifold whose cone orders are at most
+    ``max_order``: the sphere and the projective plane, then pp, 22p and px
+    for each order p, then 23q."""
+    orbs = [sphere(), projective_plane()]
+    for p in range(2, max_order + 1):
+        orbs += [sphere(p, p), sphere(2, 2, p), projective_plane(p)]
+    return orbs + [sphere(2, 3, q) for q in (3, 4, 5) if q <= max_order]
+
+
 def unit_tangent_invariant(orb: Orbifold) -> SeifertInvariant:
     """Seifert invariant of the unit tangent bundle of a closed orbifold.
 
@@ -211,6 +225,19 @@ def unit_tangent_invariant(orb: Orbifold) -> SeifertInvariant:
     n = len(orb.cone_orders)
     pairs = ((1, n - chi_underlying(orb)),) + tuple((a, -1) for a in orb.cone_orders)
     return SeifertInvariant(g, pairs)
+
+
+def fiberings_over(orb: Orbifold, b_range):
+    """The closed fiberings over ``orb``: one per choice of a beta in
+    ``[1, a)`` prime to each cone order ``a`` and of ``b`` in ``b_range``,
+    the integer pair ``(1, b)`` appended when ``b != 0``."""
+    _require_closed(orb, "the fibering enumeration")
+    g = orb.genus if orb.orientable else -orb.genus
+    choices = [[c for c in range(1, a) if math.gcd(a, c) == 1] for a in orb.cone_orders]
+    for betas in itertools.product(*choices):
+        cones = tuple(zip(orb.cone_orders, betas))
+        for b in b_range:
+            yield SeifertInvariant(g, cones + ((1, b),) if b else cones)
 
 
 def is_torus(orb: Orbifold) -> bool:

@@ -26,8 +26,10 @@ from seifert import (
     chi,
     classify_lens,
     decide_hvf,
+    elliptic_orbifolds,
     equal,
     euler_number,
+    fiberings_over,
     fiberwise_quotient,
     fibered_lens_hvf,
     homeomorphic,
@@ -183,40 +185,18 @@ def test_criterion_03_degree_set_matches_brute_force():
 #    occurring exactly on the known two-fiber family.
 
 
-def _elliptic_bases(max_p):
-    bases = [sphere(), projective_plane()]
-    bases += [sphere(p, p) for p in range(2, max_p + 1)]
-    bases += [sphere(2, 2, p) for p in range(2, max_p + 1)]
-    bases += [sphere(2, 3, q) for q in (3, 4, 5)]
-    bases += [projective_plane(p) for p in range(2, max_p + 1)]
-    return bases
-
-
 def _degree_two_family(alpha):
     return SeifertInvariant(0, ((alpha, (alpha - 1) // 2), (alpha, -(alpha + 1) // 2)))
-
-
-def _invariants_over(base, b_range):
-    genus = base.genus if base.orientable else -base.genus
-    beta_choices = [
-        [c for c in range(1, a) if math.gcd(a, c) == 1] or [0]
-        for a in base.cone_orders
-    ]
-    for betas in itertools.product(*beta_choices):
-        cone_pairs = tuple(zip(base.cone_orders, betas))
-        for b in b_range:
-            pairs = cone_pairs + ((1, b),) if b else cone_pairs
-            yield SeifertInvariant(genus, pairs)
 
 
 def test_criterion_04_elliptic_degrees_at_most_two():
     start = time.time()
     checked = twos = 0
-    for base in _elliptic_bases(11):
+    for base in elliptic_orbifolds(11):
         pp = base.orientable and len(set(base.cone_orders)) <= 1
         alpha = base.cone_orders[0] if base.cone_orders else 1
         family = _degree_two_family(alpha) if pp and alpha % 2 else None
-        for inv in _invariants_over(base, range(-64, 65)):
+        for inv in fiberings_over(base, range(-64, 65)):
             checked += 1
             degrees = allowable_degrees(inv)
             assert not isinstance(degrees, DegreeProgression)

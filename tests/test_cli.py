@@ -976,6 +976,181 @@ no horizontal vector field exists
 }
 """,
     ),
+    # boundary-hvf: the annulus, section and covering, tangency yes
+    (
+        ['boundary-hvf', 'M(0, 2;)'],
+        """\
+invariant: M(0, 2;)
+horizontal vector field: yes
+  via section of the fibering over the base surface
+  via fiberwise covering of M(0, 2;) with degrees d = 0 (mod 1), d != 0
+tangent/transverse to the boundary possible: yes
+infinitely many homotopy classes of horizontal vector fields
+""",
+    ),
+    (
+        ['boundary-hvf', 'M(0, 2;)', '--json'],
+        """\
+{
+  "input": "M(0, 2;)",
+  "normalized_invariant": "M(0, 2;)",
+  "base_orbifold": "b2",
+  "hvf": {
+    "exists": true,
+    "mechanisms": [
+      {
+        "kind": "surface_section"
+      },
+      {
+        "kind": "covering",
+        "degrees": {
+          "kind": "progression",
+          "residue": 0,
+          "modulus": 1,
+          "include_zero": false
+        },
+        "target": "M(0, 2;)"
+      }
+    ],
+    "degrees": {
+      "kind": "progression",
+      "residue": 0,
+      "modulus": 1,
+      "include_zero": false
+    },
+    "target": "M(0, 2;)",
+    "obstruction": null
+  },
+  "boundary_tangency": true,
+  "homotopy_note": "infinitely many homotopy classes of horizontal vector fields"
+}
+""",
+    ),
+    # boundary-hvf: the Mobius band
+    (
+        ['boundary-hvf', 'M(-1, 1;)'],
+        """\
+invariant: M(-1, 1;)
+horizontal vector field: yes
+  via section of the fibering over the base surface
+  via fiberwise covering of M(-1, 1;) with degrees d = 0 (mod 1), d != 0
+tangent/transverse to the boundary possible: yes
+infinitely many homotopy classes of horizontal vector fields
+""",
+    ),
+    (
+        ['boundary-hvf', 'M(-1, 1;)', '--json'],
+        """\
+{
+  "input": "M(-1, 1;)",
+  "normalized_invariant": "M(-1, 1;)",
+  "base_orbifold": "x b1",
+  "hvf": {
+    "exists": true,
+    "mechanisms": [
+      {
+        "kind": "surface_section"
+      },
+      {
+        "kind": "covering",
+        "degrees": {
+          "kind": "progression",
+          "residue": 0,
+          "modulus": 1,
+          "include_zero": false
+        },
+        "target": "M(-1, 1;)"
+      }
+    ],
+    "degrees": {
+      "kind": "progression",
+      "residue": 0,
+      "modulus": 1,
+      "include_zero": false
+    },
+    "target": "M(-1, 1;)",
+    "obstruction": null
+  },
+  "boundary_tangency": true,
+  "homotopy_note": "infinitely many homotopy classes of horizontal vector fields"
+}
+""",
+    ),
+    # boundary-hvf: cones on a genus-2 base, tangency no
+    (
+        ['boundary-hvf', 'M(2, 1; (2,1), (4,1))'],
+        """\
+invariant: M(2, 1; (2,1), (4,1))
+horizontal vector field: yes
+  via fiberwise covering of M(2, 1; (2,1), (4,3)) with degrees d = 3 (mod 4), d != 0
+tangent/transverse to the boundary possible: no
+infinitely many homotopy classes of horizontal vector fields
+""",
+    ),
+    (
+        ['boundary-hvf', 'M(2, 1; (2,1), (4,1))', '--json'],
+        """\
+{
+  "input": "M(2, 1; (2,1), (4,1))",
+  "normalized_invariant": "M(2, 1; (2,1), (4,1))",
+  "base_orbifold": "2 4 o o b1",
+  "hvf": {
+    "exists": true,
+    "mechanisms": [
+      {
+        "kind": "covering",
+        "degrees": {
+          "kind": "progression",
+          "residue": 3,
+          "modulus": 4,
+          "include_zero": false
+        },
+        "target": "M(2, 1; (2,1), (4,3))"
+      }
+    ],
+    "degrees": {
+      "kind": "progression",
+      "residue": 3,
+      "modulus": 4,
+      "include_zero": false
+    },
+    "target": "M(2, 1; (2,1), (4,3))",
+    "obstruction": null
+  },
+  "boundary_tangency": false,
+  "homotopy_note": "infinitely many homotopy classes of horizontal vector fields"
+}
+""",
+    ),
+    # homotopy: a progression without 0
+    (
+        ['homotopy', 'M(0; (1,-2), (2,1), (2,1), (2,1), (2,1))'],
+        """\
+degrees: d = 1 (mod 2), d != 0
+cohomology rank: 0
+unique up to homotopy: no
+""",
+    ),
+    (
+        ['homotopy', 'M(0; (1,-2), (2,1), (2,1), (2,1), (2,1))', '--json'],
+        """\
+{
+  "input": "M(0; (1,-2), (2,1), (2,1), (2,1), (2,1))",
+  "invariant": "M(0; (1,-2), (2,1), (2,1), (2,1), (2,1))",
+  "homotopy": {
+    "degrees": {
+      "kind": "progression",
+      "residue": 1,
+      "modulus": 2,
+      "include_zero": false
+    },
+    "cohomology_rank": 0,
+    "unique_up_to_homotopy": false
+  },
+  "note": null
+}
+""",
+    ),
 ]
 
 

@@ -28,6 +28,7 @@ from seifert import (
     unit_tangent_invariant,
 )
 from seifert.errors import BoundaryNotSupported
+from seifert.orbifold import is_klein_bottle, is_torus
 
 
 def inv(genus, *pairs, boundary=0):
@@ -197,6 +198,38 @@ class TestDecideHvfBoundary:
         lcm = math.lcm(*(a for a, _ in invariant.pairs), 1)
         solvable = bool(brute_degrees(invariant, range(-3 * lcm, 3 * lcm + 1)))
         assert decision.exists == (not base.cone_orders or solvable)
+
+
+class TestDecisionBody:
+    """Both deciders apply one rule: the section needs a bare base surface
+    with a nowhere-zero field, the covering the unit tangent target."""
+
+    @given(closed_invariants(max_pairs=3, max_alpha=6, max_beta=6))
+    def test_closed_section_iff_torus_or_klein_bottle(self, invariant):
+        base = base_orbifold(invariant)
+        decision = decide_hvf(invariant)
+        expected = is_torus(base) or is_klein_bottle(base)
+        assert (SurfaceSection() in decision.mechanisms) == expected
+
+    @given(bounded_invariants(max_pairs=3, max_alpha=6, max_beta=6))
+    def test_bounded_section_iff_no_cone_points(self, invariant):
+        decision = decide_hvf_boundary(invariant)
+        expected = not base_orbifold(invariant).cone_orders
+        assert (SurfaceSection() in decision.mechanisms) == expected
+
+    @given(bounded_invariants(max_pairs=3, max_alpha=6, max_beta=6))
+    def test_bounded_covering_witness(self, invariant):
+        # bounded twin of TestDecideHvf.test_covering_witness: every small
+        # covering degree exhibits the fiberwise covering onto the target
+        covering = [m for m in decide_hvf_boundary(invariant).mechanisms if isinstance(m, Covering)]
+        if not covering:
+            return
+        (mech,) = covering
+        lcm = math.lcm(*(a for a, _ in invariant.pairs), 1)
+        small = [d for d in range(-2 * lcm, 2 * lcm + 1) if d and mech.degrees.contains(d)]
+        assert small
+        for d in small:
+            assert equal(fiberwise_quotient(invariant, d), mech.target)
 
 
 def brute_clash(pairs):

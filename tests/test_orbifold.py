@@ -9,15 +9,19 @@ from seifert import (
     Orbifold,
     SeifertInvariant,
     annulus,
+    base_orbifold,
     chi,
     chi_underlying,
     elliptic_family,
+    elliptic_orbifolds,
     equal,
     euler_number,
+    fiberings_over,
     geometry_class,
     is_bad,
     klein_bottle,
     mobius_band,
+    normalize,
     parabolic_family,
     projective_plane,
     sphere,
@@ -167,3 +171,40 @@ class TestUnitTangentBundle:
     def test_boundary_rejected(self):
         with pytest.raises(BoundaryNotSupported):
             unit_tangent_invariant(mobius_band())
+
+
+class TestEllipticScan:
+    @pytest.mark.parametrize("max_order", range(1, 9))
+    def test_elliptic_orbifolds_match_brute_force(self, max_order):
+        found = elliptic_orbifolds(max_order)
+        assert len(set(found)) == len(found)
+        brute = {
+            o
+            for o in small_orbifolds(max_order=max_order)
+            if geometry_class(o) is GeometryClass.ELLIPTIC
+        }
+        assert set(found) == brute
+
+    def test_elliptic_orbifolds_order(self):
+        assert elliptic_orbifolds(2) == [
+            sphere(), projective_plane(), sphere(2, 2), sphere(2, 2, 2), projective_plane(2)
+        ]
+        assert elliptic_orbifolds(11)[-3:] == [sphere(2, 3, 3), sphere(2, 3, 4), sphere(2, 3, 5)]
+
+    def test_fiberings_over(self):
+        found = list(fiberings_over(projective_plane(5), range(-1, 2)))
+        assert len(found) == 4 * 3
+        assert found[:3] == [
+            SeifertInvariant(-1, ((5, 1), (1, -1))),
+            SeifertInvariant(-1, ((5, 1),)),
+            SeifertInvariant(-1, ((5, 1), (1, 1))),
+        ]
+        over_sphere = list(fiberings_over(sphere(2, 3, 5), range(0, 1)))
+        assert len(over_sphere) == 1 * 2 * 4
+        assert all(base_orbifold(i) == sphere(2, 3, 5) for i in over_sphere)
+        # distinct fiberings: no two are equal after normalizing
+        assert len({normalize(i) for i in found + over_sphere}) == len(found) + len(over_sphere)
+
+    def test_fiberings_over_rejects_boundary(self):
+        with pytest.raises(BoundaryNotSupported):
+            next(fiberings_over(annulus(), range(1)))
