@@ -14,12 +14,10 @@ from .errors import (
     NonOrientedBase,
     NotALensForm,
     NotCoprime,
-    NotInvertible,
     ParseError,
     SeifertError,
     ZeroDegree,
 )
-from .exactmath import Rational, crt_merge, ext_gcd, mod_inverse
 from .invariant import (
     AlternateFibering,
     CanonicalForm,

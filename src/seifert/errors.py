@@ -9,10 +9,6 @@ class SeifertError(ValueError):
     """Base class for all input and domain errors raised by this library."""
 
 
-class NotInvertible(SeifertError):
-    """Requested a modular inverse of a residue sharing a factor with the modulus."""
-
-
 class NotCoprime(SeifertError):
     """A pair (alpha, beta) with gcd(alpha, beta) > 1, or a non-coprime (p, q)."""
 

@@ -12,19 +12,20 @@ tangent to the fibers.  Such a field exists exactly when either
 The covering degrees form the "allowable degree set" D computed here: each
 exceptional fiber imposes ``d * b_i = -1 (mod a_i)``, and for a closed
 fibering the Euler numbers pin ``d * e = chi``.  With boundary, the Euler
-condition disappears and only the congruences remain.  Every decision merges
-the congruences once, pair by pair in input order (Chinese remainder
-theorem over moduli that need not be coprime); when they clash, the earlier
-pairs are rescanned to name the two that contradict each other.
+condition disappears and only the congruences remain.  Every decision folds
+the congruences into one class ``d = r (mod m)``, pair by pair in input
+order, with one modular inverse per pair.  When a pair contradicts the
+class, a gcd test on the earlier pairs names the first one that contradicts
+it on its own.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ._record import Record
 from .errors import BoundaryNotSupported
-from .exactmath import crt_merge, mod_inverse
 from .invariant import SeifertInvariant, base_orbifold, euler_number, normalize
 from . import orbifold
 
@@ -173,25 +174,28 @@ class HvfDecision(Record):
 def _merge_congruences(pairs):
     """Merge the fiber congruences ``d * b = -1 (mod a)`` in input order.
 
-    Returns ``((residue, modulus), None)`` for the merged class, or
-    ``(None, CongruenceClash(i, j))``: pair ``j`` is the first whose
-    congruence contradicts the merge of the pairs before it, and pair ``i``
-    the first earlier pair that contradicts it on its own.
+    Returns ``((residue, modulus), None)`` for the merged class, with the
+    residue in ``[0, modulus)``, or ``(None, CongruenceClash(i, j))``: pair
+    ``j`` is the first whose congruence contradicts the merge of the pairs
+    before it, and pair ``i`` the first earlier pair that contradicts it on
+    its own.
     """
-    merged = (0, 1)
+    r, m = 0, 1
     for j, (a, b) in enumerate(pairs):
-        if a == 1:
-            continue  # d * b = -1 (mod 1) holds for every d
-        cond = (-mod_inverse(b, a), a)
-        nxt = crt_merge(merged, cond)
-        if nxt is None:
-            # pairwise solvability implies joint solvability, so some single
-            # earlier congruence already contradicts this one
-            earlier = ((-mod_inverse(bk, ak), ak) for ak, bk in pairs[:j])
-            i = next(k for k, c in enumerate(earlier) if crt_merge(c, cond) is None)
+        # d = r + m*t solves pair j when m*b*t = -c (mod a); b is a unit mod
+        # a, so this needs g | c, and then fixes t modulo a/g
+        g = math.gcd(m, a)
+        c = 1 + r * b
+        if c % g:
+            # pairwise solvability implies joint solvability, so some earlier
+            # pair clashes with this one on its own; -b^{-1} is a bijection
+            # on the units mod gcd(a_k, a), so the betas tell it directly
+            i = next(k for k, (ak, bk) in enumerate(pairs[:j]) if (bk - b) % math.gcd(ak, a))
             return None, CongruenceClash(i, j)
-        merged = nxt
-    return merged, None
+        step = a // g  # coprime to m // g; a == 1 gives step 1 and t = 0
+        r += m * (-(c // g) * pow(m // g * b, -1, step) % step)
+        m *= step
+    return (r, m), None
 
 
 def _solve(inv: SeifertInvariant, base):

@@ -32,7 +32,6 @@ from enum import Enum
 
 from ._record import Record
 from .errors import IncompatibleCover, NotALensForm, NotCoprime, ZeroDegree
-from .exactmath import ext_gcd
 from .invariant import SeifertInvariant, normalize, reverse_orientation
 
 __all__ = [
@@ -83,9 +82,9 @@ def lens_from_invariant(inv: SeifertInvariant) -> MarkedLens:
 
     The invariant is normalized first, so any representative of such a
     fibering is accepted; more than two exceptional fibers (or non-zero
-    genus, or boundary) raises NotALensForm.  The Bezout companions come
-    from ext_gcd's deterministic choice; the resulting ``q`` is independent
-    of that choice modulo ``p``.
+    genus, or boundary) raises NotALensForm.  The Bezout companion is the
+    one with ``alpha1'`` in ``(-a1, 0]``; any other changes ``q`` by a
+    multiple of ``p``, which MarkedLens reduces away.
     """
     if not inv.closed or inv.genus_code != 0:
         raise NotALensForm("need a closed genus-zero invariant")
@@ -95,8 +94,8 @@ def lens_from_invariant(inv: SeifertInvariant) -> MarkedLens:
     pairs = list(cf.pairs) + [(1, 0)] * (2 - len(cf.pairs))
     (a1, b1), (a2, b2) = pairs
     b1 += cf.b * a1  # fold the integer shift into the first ratio
-    _, x, y = ext_gcd(a1, b1)  # a1*x + b1*y = 1
-    beta1p, alpha1p = x, -y  # a1*beta1p - b1*alpha1p = 1
+    alpha1p = -pow(b1, -1, a1)
+    beta1p = (1 + b1 * alpha1p) // a1  # a1*beta1p - b1*alpha1p = 1
     p = a1 * b2 + a2 * b1
     q = alpha1p * b2 + a2 * beta1p
     return MarkedLens(p, q)

@@ -76,6 +76,15 @@ _CONE_TOKEN = re.compile(r"[0-9]+\Z")
 _BOUNDARY_TOKEN = re.compile(r"b([0-9]+)\Z")
 
 
+def _int(digits: str, pos: int) -> int:
+    """``int(digits)`` for a literal that starts at ``pos``; past Python's
+    limit on integer string conversion, a positioned ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("integer literal too long", pos) from None
+
+
 def parse_orbifold(text: str) -> "orb_mod.Orbifold":
     """Parse orbifold notation; ParseError carries the character offset."""
     handles = 0
@@ -92,13 +101,14 @@ def parse_orbifold(text: str) -> "orb_mod.Orbifold":
         elif token == "x":
             crosscaps += 1
         elif _CONE_TOKEN.match(token):
-            if int(token) == 0:
+            order = _int(token, pos)
+            if order == 0:
                 raise ParseError("cone order must be positive", pos)
-            cones.append(int(token))
+            cones.append(order)
         elif _BOUNDARY_TOKEN.fullmatch(token):
             if boundary is not None:
                 raise ParseError("more than one boundary token", pos)
-            boundary = int(token[1:])
+            boundary = _int(token[1:], pos)
             if boundary == 0:
                 raise ParseError("boundary count must be positive (omit b0)", pos)
         else:
@@ -148,7 +158,7 @@ class _Scanner:
         if not m:
             raise ParseError("expected an integer", self.pos)
         self.pos = m.end()
-        return int(m.group())
+        return _int(m.group(), m.start())
 
     def end(self):
         self._skip_space()

@@ -214,6 +214,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "quotient", "M(0; (2,1))", "0")
         assert code == 2
 
+    def test_integer_literal_too_long(self, capsys):
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if digits == 0:
+            pytest.skip("no limit on integer string conversion")
+        code, out, err = run(capsys, "hvf", "M(0;(1,1" + "0" * digits + "))")
+        assert code == 2
+        assert out == ""
+        assert "(at position 7)" in err
+
 
 class TestImportFootprint:
     def test_cli_import_skips_dataclasses_inspect_traceback(self):

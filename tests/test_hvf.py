@@ -281,6 +281,14 @@ class TestClashIndices:
         assert decision.obstruction == expected
         assert decision.exists == (expected is None)
 
+    @settings(max_examples=300)
+    @given(clash_prone_pairs(), st.integers(1, 2))
+    def test_boundary_class_is_reduced_mod_lcm(self, pairs, boundary):
+        degrees = allowable_degrees(inv(0, *pairs, boundary=boundary))
+        if isinstance(degrees, DegreeProgression):
+            assert degrees.modulus == math.lcm(*(a for a, _ in pairs))
+            assert 0 <= degrees.residue < degrees.modulus
+
 
 class TestBoundaryTangency:
     def test_annulus(self):

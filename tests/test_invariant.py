@@ -235,3 +235,23 @@ class TestAlternateFiberings:
     def test_boundary_rejected(self):
         with pytest.raises(BoundaryNotSupported):
             alternate_fiberings(inv(0, boundary=1))
+
+
+@given(
+    st.integers(-200, 200),
+    st.integers(1, 200),
+    st.integers(-200, 200),
+    st.integers(1, 200),
+)
+def test_rational_arithmetic_is_exact(a, b, c, d):
+    assert (Fraction(a, b) + Fraction(c, d)) * (b * d) == a * d + c * b
+
+
+def test_rational_arithmetic_exact_at_scale():
+    import random
+
+    rng = random.Random(7)
+    for _ in range(10_000):
+        a, c = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+        b, d = rng.randint(1, 10**6), rng.randint(1, 10**6)
+        assert (Fraction(a, b) + Fraction(c, d)) * (b * d) == a * d + c * b

@@ -26,11 +26,17 @@ from seifert import (
 )
 from seifert.lens import MAX_ENUMERATION_BOUND
 from seifert.errors import IncompatibleCover, NotALensForm, NotCoprime, ZeroDegree
-from seifert.exactmath import ext_gcd
 
 
 def inv(genus, *pairs, boundary=0):
     return SeifertInvariant(genus, tuple(pairs), boundary)
+
+
+def bezout_companion(a, b):
+    """``(alpha', beta')`` with ``a*beta' - b*alpha' = 1`` and ``0 <= alpha' < a``,
+    found by search."""
+    ap = next(ap for ap in range(a) if (1 + b * ap) % a == 0)
+    return ap, (1 + b * ap) // a
 
 
 def all_marked(max_p):
@@ -119,10 +125,10 @@ class TestMarkedEqual:
             p = a1 * b2 + a2 * b1
             if p == 0:
                 continue
-            _, x1, y1 = ext_gcd(a1, b1)
-            q_forward = -y1 * b2 + a2 * x1
-            _, x2, y2 = ext_gcd(a2, b2)
-            q_swapped = -y2 * b1 + a1 * x2
+            a1p, b1p = bezout_companion(a1, b1)
+            q_forward = a1p * b2 + a2 * b1p
+            a2p, b2p = bezout_companion(a2, b2)
+            q_swapped = a2p * b1 + a1 * b2p
             assert (q_forward * q_swapped - 1) % abs(p) == 0
             assert marked_equal(MarkedLens(p, q_forward), MarkedLens(p, q_swapped))
 

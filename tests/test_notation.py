@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -79,6 +81,17 @@ class TestParseOrbifold:
             parse_orbifold("2 3\u00a0")
         assert exc.value.position == 2
 
+    def test_integer_literal_too_long(self):
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if digits == 0:
+            pytest.skip("no limit on integer string conversion")
+        with pytest.raises(ParseError) as exc:
+            parse_orbifold("2 1" + "0" * digits)
+        assert exc.value.position == 2
+        with pytest.raises(ParseError) as exc:
+            parse_orbifold("2 3 b1" + "0" * digits)
+        assert exc.value.position == 4
+
 
 class TestPrintOrbifold:
     def test_cones(self):
@@ -146,6 +159,14 @@ class TestParseInvariant:
         assert exc.value.position == 4
         with pytest.raises(ParseError) as exc:
             parse_invariant("M(0; (2,\u00a01))")
+        assert exc.value.position == 8
+
+    def test_integer_literal_too_long(self):
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if digits == 0:
+            pytest.skip("no limit on integer string conversion")
+        with pytest.raises(ParseError) as exc:
+            parse_invariant("M(0; (1,-1" + "0" * digits + "))")
         assert exc.value.position == 8
 
 

@@ -1,0 +1,34 @@
+"""Each script in scripts/ runs as a program and prints its recorded output.
+
+The scripts import only the public ``seifert`` names, so a removed name
+fails here rather than when someone next runs the script.  The expected
+stdout of each run is in tests/golden/.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+RUNS = [
+    ("lens_classification_table.py", ["--max-p", "9", "--bound", "6"], "lens_classification_table.txt"),
+    ("elliptic_degree_scan.py", ["--max-order", "3"], "elliptic_degree_scan.txt"),
+    ("parabolic_self_covers.py", [], "parabolic_self_covers.txt"),
+]
+
+
+@pytest.mark.parametrize("script, args, golden", RUNS, ids=[s for s, _, _ in RUNS])
+def test_script_output(script, args, golden):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    assert proc.stdout == (ROOT / "tests" / "golden" / golden).read_bytes()
