@@ -16,7 +16,10 @@ condition disappears and only the congruences remain.  Every decision folds
 the congruences into one class ``d = r (mod m)``, pair by pair in input
 order, with one modular inverse per pair.  When a pair contradicts the
 class, a gcd test on the earlier pairs names the first one that contradicts
-it on its own.
+it on its own.  The Euler pin is integer arithmetic: multiplied by the
+product P of the alphas, ``d * e = chi`` reads ``d * -sum(b_i P/a_i) =
+chi_u P - sum((a_i - 1) P/a_i)``, so no orbifold and no fraction is built
+unless a mismatch is reported.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import BoundaryNotSupported
-from .invariant import SeifertInvariant, base_orbifold, euler_number, normalize
-from . import orbifold
+from .invariant import SeifertInvariant, normalize
 
 __all__ = [
     "EmptyDegrees",
@@ -198,26 +200,39 @@ def _merge_congruences(pairs):
     return (r, m), None
 
 
-def _solve(inv: SeifertInvariant, base):
-    """The degree set of ``inv`` over its base orbifold ``base``, with the
-    first failed condition when the set is empty."""
+def _chi_underlying(inv: SeifertInvariant) -> int:
+    """Euler characteristic of a closed fibering's base surface, cone points
+    forgotten, read off the genus code."""
+    g = inv.genus_code
+    return 2 - 2 * g if g >= 0 else 2 + g
+
+
+def _solve(inv: SeifertInvariant):
+    """The degree set of ``inv``, with the first failed condition when the
+    set is empty."""
     merged, clash = _merge_congruences(inv.pairs)
     if merged is None:
         return EmptyDegrees(), clash
     residue, modulus = merged
     if not inv.closed:
         return DegreeProgression(residue, modulus), None
-    e = euler_number(inv)
-    x = orbifold.chi(base)
-    if e != 0:
-        ratio = x / e
-        pin = int(ratio) if ratio.denominator == 1 else None
+    # over the product P of the alphas: e = -eb/P and chi = x/P, with
+    # eb = sum(b * P/a) and cone = sum((a - 1) * P/a)
+    eb, cone, p = 0, 0, 1
+    for a, b in inv.pairs:
+        eb = eb * a + b * p
+        cone = cone * a + (a - 1) * p
+        p *= a
+    x = _chi_underlying(inv) * p - cone
+    if eb:
+        # d * e = chi is d * -eb = x
+        pin = -x // eb if x % eb == 0 else None
         if pin is not None and pin != 0 and pin % modulus == residue:
             return SingleDegree(pin), None
-        return EmptyDegrees(), EulerMismatch(e, x, pin)
+        return EmptyDegrees(), EulerMismatch(Fraction(-eb, p), Fraction(x, p), pin)
     if x == 0:
         return DegreeProgression(residue, modulus), None
-    return EmptyDegrees(), EulerMismatch(e, x, None)
+    return EmptyDegrees(), EulerMismatch(Fraction(0), Fraction(x, p), None)
 
 
 def allowable_degrees(inv: SeifertInvariant) -> DegreeSet:
@@ -230,7 +245,7 @@ def allowable_degrees(inv: SeifertInvariant) -> DegreeSet:
     ``chi = 0`` and nothing otherwise.  With boundary the merged class is the
     answer; its modulus divides the lcm of the alphas.
     """
-    return _solve(inv, base_orbifold(inv))[0]
+    return _solve(inv)[0]
 
 
 def _decide(inv: SeifertInvariant) -> HvfDecision:
@@ -239,20 +254,19 @@ def _decide(inv: SeifertInvariant) -> HvfDecision:
     The section mechanism needs a bare base surface that carries a
     nowhere-zero vector field: any bounded one, or chi = 0 when closed (the
     torus and the Klein bottle).  The covering mechanism needs a non-empty
-    degree set; its target is the unit tangent bundle of the base, which
-    with boundary is ``(g, n; (a_i, -1)...)``, the integer pair absorbed.
+    degree set; its target is the unit tangent bundle of the base: the
+    integer pair ``(1, n - chi_u)`` and ``(a_i, -1)`` per cone point when
+    closed, and ``(g, n; (a_i, -1)...)`` with boundary, the integer pair
+    absorbed.
     """
-    base = base_orbifold(inv)
+    cones = tuple((a, -1) for a, _ in inv.pairs if a >= 2)
     mechanisms = []
-    if not base.cone_orders and (not inv.closed or orbifold.chi_underlying(base) == 0):
+    if not cones and (not inv.closed or _chi_underlying(inv) == 0):
         mechanisms.append(SurfaceSection())
-    degrees, obstruction = _solve(inv, base)
+    degrees, obstruction = _solve(inv)
     if not degrees.is_empty():
-        if inv.closed:
-            ut = orbifold.unit_tangent_invariant(base)
-        else:
-            cones = tuple((a, -1) for a in base.cone_orders)
-            ut = SeifertInvariant(inv.genus_code, cones, inv.boundary_count)
+        pairs = ((1, len(cones) - _chi_underlying(inv)),) + cones if inv.closed else cones
+        ut = SeifertInvariant(inv.genus_code, pairs, inv.boundary_count)
         mechanisms.append(Covering(degrees, normalize(ut).invariant()))
     exists = bool(mechanisms)
     return HvfDecision(exists, tuple(mechanisms), None if exists else obstruction)
@@ -282,5 +296,6 @@ def boundary_tangency(inv: SeifertInvariant) -> bool:
     transverse) to the boundary exists: only over the annulus or Mobius band."""
     if inv.closed:
         raise ValueError("boundary tangency needs an invariant with boundary")
-    base = base_orbifold(inv)
-    return orbifold.is_annulus(base) or orbifold.is_mobius_band(base)
+    if any(a >= 2 for a, _ in inv.pairs):
+        return False
+    return (inv.genus_code, inv.boundary_count) in ((0, 2), (-1, 1))

@@ -30,6 +30,7 @@ frozen contract.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import NoHvf, NotALensForm, ParseError
@@ -76,13 +77,29 @@ _CONE_TOKEN = re.compile(r"[0-9]+\Z")
 _BOUNDARY_TOKEN = re.compile(r"b([0-9]+)\Z")
 
 
-def _int(digits: str, pos: int) -> int:
-    """``int(digits)`` for a literal that starts at ``pos``; past Python's
-    limit on integer string conversion, a positioned ParseError."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise ParseError("integer literal too long", pos) from None
+class _Literals:
+    """The integer literals of one description, read against one budget of
+    digits: half Python's limit on integer string conversion, or 2,150 when
+    there is none.  Every number derived from the literals (the product of
+    the alphas, e, chi, the Euler pin, moduli, lens parameters) then stays
+    printable."""
+
+    def __init__(self, what: str):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        self.left = (limit or 4300) // 2
+        self.what = what
+
+    def read(self, digits: str, pos: int) -> int:
+        """``int(digits)`` for a literal that starts at ``pos``, or a
+        positioned ParseError past Python's limit or past the budget."""
+        try:
+            value = int(digits)
+        except ValueError:
+            raise ParseError("integer literal too long", pos) from None
+        self.left -= len(digits) - digits.startswith("-")
+        if self.left < 0:
+            raise ParseError(f"{self.what} too large", pos)
+        return value
 
 
 def parse_orbifold(text: str) -> "orb_mod.Orbifold":
@@ -91,6 +108,7 @@ def parse_orbifold(text: str) -> "orb_mod.Orbifold":
     crosscaps = 0
     cones: list[int] = []
     boundary: int | None = None
+    literals = _Literals("orbifold")
     matches = list(_TOKEN.finditer(text))
     if not matches:
         raise ParseError("empty orbifold description", 0)
@@ -101,14 +119,14 @@ def parse_orbifold(text: str) -> "orb_mod.Orbifold":
         elif token == "x":
             crosscaps += 1
         elif _CONE_TOKEN.match(token):
-            order = _int(token, pos)
+            order = literals.read(token, pos)
             if order == 0:
                 raise ParseError("cone order must be positive", pos)
             cones.append(order)
         elif _BOUNDARY_TOKEN.fullmatch(token):
             if boundary is not None:
                 raise ParseError("more than one boundary token", pos)
-            boundary = _int(token[1:], pos)
+            boundary = literals.read(token[1:], pos)
             if boundary == 0:
                 raise ParseError("boundary count must be positive (omit b0)", pos)
         else:
@@ -137,6 +155,7 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.literals = _Literals("invariant")
 
     def _skip_space(self):
         while self.pos < len(self.text) and self.text[self.pos] in _SPACE:
@@ -158,7 +177,7 @@ class _Scanner:
         if not m:
             raise ParseError("expected an integer", self.pos)
         self.pos = m.end()
-        return _int(m.group(), m.start())
+        return self.literals.read(m.group(), m.start())
 
     def end(self):
         self._skip_space()

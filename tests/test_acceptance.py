@@ -363,6 +363,26 @@ def test_criterion_07_lens_classification_wide_range():
     )
 
 
+def test_criterion_07_lens_classification_p48():
+    # bound 24 is at least p/2 for every p <= 48; at bound 16, L(33, 1) has
+    # no fibering with all coefficients in range
+    start = time.time()
+    cases = _check_theorem1(48, 24)
+    elapsed = time.time() - start
+    assert elapsed < 60
+    assert {c.value: n for c, n in cases.items()} == {
+        "all_have": 2,
+        "mixed_infinite": 92,
+        "exactly_one": 22,
+        "none_have": 597,
+    }
+    report(
+        7,
+        "classification verified against enumerated fiberings for p <= 48 "
+        f"at bound 24 ({ {c.value: n for c, n in cases.items()} }) in {elapsed:.1f}s",
+    )
+
+
 # --------------------------------------------------------------------------
 # 8. The lens marking is well defined and matches the decision procedure.
 

@@ -223,6 +223,49 @@ class TestExitCodes:
         assert out == ""
         assert "(at position 7)" in err
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_derived_numbers_too_large(self, capsys, json_flag):
+        # each alpha is under the limit on integer string conversion, but
+        # their product, the denominator of e and chi, would be over it
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        zeros = "0" * (limit * 7 // 10)
+        text = f"M(0;(1{zeros}1,3), (1{zeros}3,3), (1{zeros}7,1))"
+        code, out, err = run(capsys, "hvf", text, *json_flag)
+        assert code == 2
+        assert out == ""
+        assert err == "error: invariant too large (at position 5)\n"
+
+
+class TestOrbifoldsPerQuery:
+    """The decision reads everything off the invariant; only the report's
+    printed base builds an ``Orbifold``."""
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (["hvf", "M(0; (1,-1), (5,2), (5,2), (5,2))", "--json"], 1),
+            (["hvf", "M(-2;)"], 1),
+            (["homotopy", "M(1; (1,1))", "--json"], 0),
+            (["homotopy", "M(0; (2,1), (3,1), (5,1))"], 0),
+            (["boundary-hvf", "M(2, 1; (2,1), (4,1))", "--json"], 1),
+            (["boundary-hvf", "M(-1, 1;)"], 1),
+        ],
+    )
+    def test_orbifold_builds(self, capsys, monkeypatch, argv, built):
+        from seifert.orbifold import Orbifold
+
+        calls = []
+        init = Orbifold.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Orbifold, "__init__", counting_init)
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert len(calls) == built
+
 
 class TestImportFootprint:
     def test_cli_import_skips_dataclasses_inspect_traceback(self):

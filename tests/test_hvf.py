@@ -23,6 +23,7 @@ from seifert import (
     equal,
     euler_number,
     fiberwise_quotient,
+    normalize,
     reverse_orientation,
     sphere,
     unit_tangent_invariant,
@@ -166,6 +167,46 @@ class TestDecideHvf:
         target = unit_tangent_invariant(base_orbifold(invariant))
         for d in small:
             assert equal(fiberwise_quotient(invariant, d), target)
+
+
+@st.composite
+def wide_closed_invariants(draw):
+    """Closed invariants over any genus code in -5..5: small alphas, which
+    often pin a degree, mixed with alphas up to 10**6, and betas far outside
+    ``[0, alpha)``."""
+    genus = draw(st.integers(-5, 5))
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        a = draw(st.one_of(st.integers(1, 12), st.integers(1, 10**6)))
+        b = draw(st.integers(-3 * a - 10, 3 * a + 10))
+        while math.gcd(a, b) != 1:
+            b += 1
+        pairs.append((a, b))
+    return SeifertInvariant(genus, tuple(pairs))
+
+
+class TestIntegerPin:
+    """The decision's integer Euler pin against the rational e and chi of
+    the invariant and its base orbifold."""
+
+    @settings(max_examples=400)
+    @given(wide_closed_invariants())
+    def test_matches_rational_rule(self, invariant):
+        e = euler_number(invariant)
+        x = chi(base_orbifold(invariant))
+        decision = decide_hvf(invariant)
+        degrees = allowable_degrees(invariant)
+        if isinstance(decision.obstruction, EulerMismatch):
+            ratio = x / e if e else None
+            pin = int(ratio) if ratio is not None and ratio.denominator == 1 else None
+            assert decision.obstruction == EulerMismatch(e, x, pin)
+        if isinstance(degrees, SingleDegree):
+            assert degrees.d * e == x
+        target = normalize(unit_tangent_invariant(base_orbifold(invariant))).invariant()
+        for mech in decision.mechanisms:
+            if isinstance(mech, Covering):
+                assert mech.degrees == degrees
+                assert mech.target == target
 
 
 class TestDecideHvfBoundary:

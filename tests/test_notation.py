@@ -92,6 +92,18 @@ class TestParseOrbifold:
             parse_orbifold("2 3 b1" + "0" * digits)
         assert exc.value.position == 4
 
+    def test_orbifold_too_large(self):
+        # the cone orders together may have half as many digits as one
+        # integer may print with, so that chi's denominator stays printable
+        budget = (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) // 2
+        first = "1" + "0" * (budget // 2 - 1)
+        second = "1" + "0" * (budget - len(first) - 2)
+        orb = parse_orbifold(f"{first} {second} b1 x")
+        assert orb.cone_orders == tuple(sorted((int(first), int(second))))
+        with pytest.raises(ParseError) as exc:
+            parse_orbifold(f"{first} {second} b10 x")
+        assert str(exc.value) == f"orbifold too large (at position {len(first) + len(second) + 2})"
+
 
 class TestPrintOrbifold:
     def test_cones(self):
@@ -168,6 +180,17 @@ class TestParseInvariant:
         with pytest.raises(ParseError) as exc:
             parse_invariant("M(0; (1,-1" + "0" * digits + "))")
         assert exc.value.position == 8
+
+    def test_invariant_too_large(self):
+        # every literal counts towards one budget of digits, signs aside
+        budget = (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) // 2
+        first = "1" + "0" * (budget // 2 - 1)
+        second = "1" + "0" * (budget - len(first) - 4)
+        text = f"M(-1; ({first},-1), ({second},1))"
+        assert parse_invariant(text).pairs == ((int(first), -1), (int(second), 1))
+        with pytest.raises(ParseError) as exc:
+            parse_invariant(text.replace(",1))", ",11))"))
+        assert str(exc.value) == f"invariant too large (at position {text.index(',1))') + 1})"
 
 
 class TestPrintInvariant:
