@@ -48,3 +48,13 @@ class Record:
 
     def __reduce__(self):
         return self.__class__, self.__class__._values(self)
+
+
+def integral(value, what: str) -> int:
+    """``int(value)`` for an integral ``value`` such as ``Fraction(2)`` or
+    ``True``; any other value, such as 2.5, raises ValueError instead of being
+    truncated."""
+    n = int(value)
+    if n != value:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return n

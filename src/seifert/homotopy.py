@@ -7,17 +7,26 @@ null-homotopic.  The components are therefore in bijection with pairs
 
     (allowable degree) x (first cohomology of the underlying surface),
 
-where the cohomology is free abelian of rank ``2 * genus``.  Fiberings over
-the bare 2-torus additionally admit the degree-zero section mechanism, which
-contributes components of its own; for every other base the degree set is
-exactly the covering degrees.
+where the cohomology is free abelian of rank ``2 * genus``.  The catalog is a
+view of the one HVF decision: no field means no catalog, the covering
+mechanism gives the degrees, and the section mechanism (over an oriented base,
+only the bare 2-torus has it) adds the degree-zero components.
 """
 
 from __future__ import annotations
 
 from ._record import Record
 from .errors import BoundaryNotSupported, NoHvf, NonOrientedBase
-from .hvf import DegreeProgression, DegreeSet, EmptyDegrees, SingleDegree, allowable_degrees
+from .hvf import (
+    Covering,
+    DegreeProgression,
+    DegreeSet,
+    EmptyDegrees,
+    HvfDecision,
+    SingleDegree,
+    SurfaceSection,
+    decide_hvf,
+)
 from .invariant import SeifertInvariant
 
 __all__ = ["ComponentCatalog", "homotopy_components"]
@@ -50,20 +59,22 @@ def homotopy_components(inv: SeifertInvariant) -> ComponentCatalog:
         raise BoundaryNotSupported("homotopy classes are cataloged for closed fiberings")
     if inv.genus_code < 0:
         raise NonOrientedBase("homotopy classes are cataloged over oriented bases only")
-    return _catalog(inv, allowable_degrees(inv))
+    return _catalog(inv, decide_hvf(inv))
 
 
-def _catalog(inv: SeifertInvariant, degrees: DegreeSet) -> ComponentCatalog:
-    """The catalog of a closed fibering over an oriented base with covering
-    degrees ``degrees``."""
-    if inv.genus_code == 1 and all(a == 1 for a, _ in inv.pairs):
-        # over the bare torus the section mechanism adds the degree-0 components
-        if isinstance(degrees, DegreeProgression):
-            degrees = DegreeProgression(degrees.residue, degrees.modulus, include_zero=True)
-        elif isinstance(degrees, EmptyDegrees):
-            degrees = EmptyDegrees(include_zero=True)
-    elif degrees.is_empty():
+def _catalog(inv: SeifertInvariant, decision: HvfDecision) -> ComponentCatalog:
+    """The catalog of a closed fibering over an oriented base, read off its
+    HVF decision."""
+    if not decision.exists:
         raise NoHvf("no horizontal vector field exists on this fibering")
+    match decision.mechanisms:
+        # the section mechanism, listed first, adds the degree-0 components
+        case (SurfaceSection(), Covering(DegreeProgression(residue, modulus))):
+            degrees = DegreeProgression(residue, modulus, include_zero=True)
+        case (SurfaceSection(),):
+            degrees = EmptyDegrees(include_zero=True)
+        case (*_, Covering(degrees)):
+            pass
     rank = 2 * inv.genus_code
     unique = isinstance(degrees, SingleDegree) and rank == 0
     return ComponentCatalog(degrees, rank, unique)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._record import Record
+from ._record import Record, integral
 from .errors import BoundaryNotSupported, MixedBoundary, NotCoprime, ZeroDegree
 
 __all__ = [
@@ -45,7 +45,8 @@ class SeifertInvariant(Record):
     """``(g; (a1,b1), ..., (an,bn))`` with an optional boundary count.
 
     Every pair needs ``a_i >= 1`` and ``gcd(a_i, b_i) = 1``; violating pairs
-    raise NotCoprime with the offending index.
+    raise NotCoprime with the offending index.  Every number must be
+    integral: ``Fraction(2)`` becomes 2, while 2.5 raises ValueError.
     """
 
     __slots__ = ("genus_code", "pairs", "boundary_count")
@@ -54,16 +55,22 @@ class SeifertInvariant(Record):
     boundary_count: int
 
     def __init__(self, genus_code, pairs=(), boundary_count=0):
-        pairs = tuple((int(a), int(b)) for a, b in pairs)
+        genus_code = integral(genus_code, "genus code")
+        boundary_count = integral(boundary_count, "boundary count")
+        checked = []
         for i, (a, b) in enumerate(pairs):
-            if a < 1:
+            ia, ib = int(a), int(b)
+            if ia != a or ib != b:
+                raise ValueError(f"pair {i}: alpha and beta must be integers, not {(a, b)!r}")
+            if ia < 1:
                 raise ValueError(f"pair {i}: alpha must be a positive integer")
-            if math.gcd(a, b) != 1:
+            if math.gcd(ia, ib) != 1:
                 raise NotCoprime(i)
+            checked.append((ia, ib))
         if boundary_count < 0:
             raise ValueError("boundary count must be non-negative")
         object.__setattr__(self, "genus_code", genus_code)
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pairs", tuple(checked))
         object.__setattr__(self, "boundary_count", boundary_count)
 
     @property

@@ -33,7 +33,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import NoHvf, NotALensForm, ParseError
+from .errors import NotALensForm, ParseError
 from .hvf import (
     Covering,
     CongruenceClash,
@@ -42,7 +42,6 @@ from .hvf import (
     EulerMismatch,
     HvfDecision,
     SingleDegree,
-    SurfaceSection,
     decide_hvf,
     decide_hvf_boundary,
 )
@@ -266,17 +265,6 @@ def degree_set_str(ds: dict) -> str:
     return text
 
 
-def _mechanism_json(mech) -> dict:
-    if isinstance(mech, SurfaceSection):
-        return {"kind": "surface_section"}
-    assert isinstance(mech, Covering)
-    return {
-        "kind": "covering",
-        "degrees": degree_set_json(mech.degrees),
-        "target": print_invariant(mech.target),
-    }
-
-
 def _obstruction_json(obs) -> dict | None:
     if obs is None:
         return None
@@ -291,17 +279,22 @@ def _obstruction_json(obs) -> dict | None:
     }
 
 
-def _covering(decision: HvfDecision) -> Covering | None:
-    return next((m for m in decision.mechanisms if isinstance(m, Covering)), None)
-
-
 def decision_json(decision: HvfDecision) -> dict:
-    covering = _covering(decision)
+    """The decision's JSON form; the covering's degrees and target, rendered
+    once, also stand at the top level (empty and null without a covering)."""
+    mechanisms = []
+    degrees, target = degree_set_json(EmptyDegrees()), None
+    for mech in decision.mechanisms:
+        if isinstance(mech, Covering):
+            degrees, target = degree_set_json(mech.degrees), print_invariant(mech.target)
+            mechanisms.append({"kind": "covering", "degrees": degrees, "target": target})
+        else:
+            mechanisms.append({"kind": "surface_section"})
     return {
         "exists": decision.exists,
-        "mechanisms": [_mechanism_json(m) for m in decision.mechanisms],
-        "degrees": degree_set_json(covering.degrees if covering else EmptyDegrees()),
-        "target": print_invariant(covering.target) if covering else None,
+        "mechanisms": mechanisms,
+        "degrees": degrees,
+        "target": target,
         "obstruction": _obstruction_json(decision.obstruction),
     }
 
@@ -348,11 +341,6 @@ def invariant_report(text: str, inv: SeifertInvariant) -> dict:
             report["lens"] = lens_json(lens_from_invariant(inv))
         except NotALensForm:
             pass
-        if inv.genus_code >= 0:
-            covering = _covering(decision)
-            degrees = covering.degrees if covering else EmptyDegrees()
-            try:
-                report["homotopy"] = catalog_json(_catalog(inv, degrees))
-            except NoHvf:
-                pass
+        if inv.genus_code >= 0 and decision.exists:
+            report["homotopy"] = catalog_json(_catalog(inv, decision))
     return report

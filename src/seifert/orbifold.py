@@ -20,7 +20,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from ._record import Record
+from ._record import Record, integral
 from .errors import BoundaryNotSupported
 from .invariant import SeifertInvariant
 
@@ -54,7 +54,8 @@ class Orbifold(Record):
 
     ``genus`` counts handles when orientable and cross caps when not (so a
     non-orientable orbifold needs ``genus >= 1``).  Cone orders of 1 are
-    accepted and silently dropped, making the representation canonical.
+    accepted and silently dropped, making the representation canonical.  The
+    genus, cone orders and boundary count must be integral.
     """
 
     __slots__ = ("orientable", "genus", "cone_orders", "boundary_count")
@@ -64,13 +65,18 @@ class Orbifold(Record):
     boundary_count: int
 
     def __init__(self, orientable, genus, cone_orders=(), boundary_count=0):
+        genus = integral(genus, "genus")
+        boundary_count = integral(boundary_count, "boundary count")
         if genus < 0:
             raise ValueError("genus must be non-negative")
         if not orientable and genus == 0:
             raise ValueError("a non-orientable surface has at least one cross cap")
         if boundary_count < 0:
             raise ValueError("boundary count must be non-negative")
-        orders = tuple(int(a) for a in cone_orders)
+        given = tuple(cone_orders)
+        orders = tuple(int(a) for a in given)
+        if orders != given:
+            raise ValueError(f"cone orders must be integers, not {given!r}")
         if any(a < 1 for a in orders):
             raise ValueError("cone orders must be positive integers")
         object.__setattr__(self, "orientable", orientable)

@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 from seifert import SeifertInvariant, normalize, reverse_orientation
 
 
+def inv(genus, *pairs, boundary=0):
+    """A SeifertInvariant from a genus code and its pairs."""
+    return SeifertInvariant(genus, tuple(pairs), boundary)
+
+
 @st.composite
 def coprime_pairs(draw, max_alpha=9, max_beta=12):
     a = draw(st.integers(1, max_alpha))

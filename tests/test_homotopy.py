@@ -1,22 +1,20 @@
 import pytest
 from hypothesis import given
 
-from conftest import closed_invariants
+from conftest import closed_invariants, inv
 from seifert import (
     DegreeProgression,
     EmptyDegrees,
-    SeifertInvariant,
     SingleDegree,
+    allowable_degrees,
     decide_hvf,
     homotopy_components,
+    print_invariant,
     sphere,
     unit_tangent_invariant,
 )
 from seifert.errors import BoundaryNotSupported, NoHvf, NonOrientedBase
-
-
-def inv(genus, *pairs, boundary=0):
-    return SeifertInvariant(genus, tuple(pairs), boundary)
+from seifert.notation import catalog_json, invariant_report
 
 
 class TestCatalogs:
@@ -81,6 +79,28 @@ class TestAgainstDecision:
                 isinstance(catalog.degrees, SingleDegree)
                 and catalog.cohomology_rank == 0
             )
+            covering = allowable_degrees(invariant)
+            assert all(
+                catalog.degrees.contains(d) == covering.contains(d)
+                for d in range(-80, 81)
+                if d != 0
+            )
+
+    @given(
+        closed_invariants(max_pairs=3, max_alpha=6, max_beta=6).filter(
+            lambda invariant: invariant.genus_code >= 0
+        )
+    )
+    def test_report_section_is_the_catalog(self, invariant):
+        # the report reaches the catalog through the decision it holds, and
+        # homotopy_components through a decision of its own
+        report = invariant_report(print_invariant(invariant), invariant)
+        try:
+            catalog = homotopy_components(invariant)
+        except NoHvf:
+            assert "homotopy" not in report
+        else:
+            assert report["homotopy"] == catalog_json(catalog)
 
     @given(closed_invariants(max_pairs=3, max_alpha=6, max_beta=6))
     def test_degree_zero_only_over_the_bare_torus(self, invariant):

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bounded_invariants, closed_invariants
+from conftest import bounded_invariants, closed_invariants, inv
 from seifert import (
     Covering,
     CongruenceClash,
@@ -30,10 +30,6 @@ from seifert import (
 )
 from seifert.errors import BoundaryNotSupported
 from seifert.orbifold import is_klein_bottle, is_torus
-
-
-def inv(genus, *pairs, boundary=0):
-    return SeifertInvariant(genus, tuple(pairs), boundary)
 
 
 def brute_degrees(invariant, window):

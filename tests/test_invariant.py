@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import apply_random_moves, closed_invariants
+from conftest import apply_random_moves, closed_invariants, inv
 from seifert import (
-    SeifertInvariant,
     alternate_fiberings,
     annulus,
     base_orbifold,
@@ -25,10 +24,6 @@ from seifert.errors import (
     NotCoprime,
     ZeroDegree,
 )
-
-
-def inv(genus, *pairs, boundary=0):
-    return SeifertInvariant(genus, tuple(pairs), boundary)
 
 
 class TestType:

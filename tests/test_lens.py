@@ -3,10 +3,9 @@ import math
 
 import pytest
 
-from conftest import unoriented_key
+from conftest import inv, unoriented_key
 from seifert import (
     MarkedLens,
-    SeifertInvariant,
     Theorem1Case,
     classify_lens,
     decide_hvf,
@@ -26,10 +25,6 @@ from seifert import (
 )
 from seifert.lens import MAX_ENUMERATION_BOUND
 from seifert.errors import IncompatibleCover, NotALensForm, NotCoprime, ZeroDegree
-
-
-def inv(genus, *pairs, boundary=0):
-    return SeifertInvariant(genus, tuple(pairs), boundary)
 
 
 def bezout_companion(a, b):

@@ -230,6 +230,23 @@ class TestInvariantReport:
         assert "lens" not in report
         assert report["homotopy"]["cohomology_rank"] == 0
 
+    def test_covering_target_printed_once(self, monkeypatch):
+        from seifert import notation
+
+        printed = []
+        original = notation.print_invariant
+
+        def counting_print(inv):
+            printed.append(inv)
+            return original(inv)
+
+        monkeypatch.setattr(notation, "print_invariant", counting_print)
+        inv = parse_invariant("M(0; (1,-1), (5,2), (5,2), (5,2))")
+        report = notation.invariant_report("M(0; (1,-1), (5,2), (5,2), (5,2))", inv)
+        assert report["hvf"]["mechanisms"][0]["kind"] == "covering"
+        # the input and the covering target, each once
+        assert len(printed) == 2
+
     def test_bounded_report_shape(self):
         from seifert.notation import invariant_report
 

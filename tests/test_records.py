@@ -249,6 +249,27 @@ class TestConstructionChecks:
         assert all(type(x) is int for pair in inv.pairs for x in pair)
         assert type(inv.pairs) is tuple and all(type(p) is tuple for p in inv.pairs)
 
+    def test_non_integral_values_rejected(self):
+        # int() would truncate these; the constructors refuse them instead
+        for pairs in (((2.5, 1),), ((Fraction(7, 2), 1),), ((3, 1), (5, 0.5))):
+            with pytest.raises(ValueError, match="alpha and beta must be integers"):
+                SeifertInvariant(0, pairs)
+        with pytest.raises(ValueError, match="genus code must be an integer"):
+            SeifertInvariant(0.5)
+        with pytest.raises(ValueError, match="boundary count must be an integer"):
+            SeifertInvariant(0, (), 1.5)
+        with pytest.raises(ValueError, match="cone orders must be integers"):
+            Orbifold(True, 0, (2.9, 3))
+        with pytest.raises(ValueError, match="genus must be an integer"):
+            Orbifold(True, Fraction(1, 2))
+        with pytest.raises(ValueError, match="boundary count must be an integer"):
+            Orbifold(True, 0, (), 0.5)
+        # integral values of other types become ints
+        inv = SeifertInvariant(Fraction(1), (), True)
+        assert (inv.genus_code, inv.boundary_count) == (1, 1)
+        assert type(inv.genus_code) is int and type(inv.boundary_count) is int
+        assert Orbifold(True, 2.0) == Orbifold(True, 2)
+
     def test_orbifold_checks(self):
         with pytest.raises(ValueError, match="genus must be non-negative"):
             Orbifold(True, -1)
