@@ -32,7 +32,7 @@ from enum import Enum
 
 from ._record import Record
 from .errors import IncompatibleCover, NotALensForm, NotCoprime, ZeroDegree
-from .invariant import SeifertInvariant, normalize, reverse_orientation
+from .invariant import CanonicalForm, SeifertInvariant, normalize, reverse_orientation
 
 __all__ = [
     "MarkedLens",
@@ -82,9 +82,9 @@ def lens_from_invariant(inv: SeifertInvariant) -> MarkedLens:
 
     The invariant is normalized first, so any representative of such a
     fibering is accepted; more than two exceptional fibers (or non-zero
-    genus, or boundary) raises NotALensForm.  The Bezout companion is the
-    one with ``alpha1'`` in ``(-a1, 0]``; any other changes ``q`` by a
-    multiple of ``p``, which MarkedLens reduces away.
+    genus, or boundary) raises NotALensForm.  Any Bezout companion other
+    than ``_lens_pq``'s changes ``q`` by a multiple of ``p``, which
+    MarkedLens reduces away.
     """
     if not inv.closed or inv.genus_code != 0:
         raise NotALensForm("need a closed genus-zero invariant")
@@ -93,12 +93,16 @@ def lens_from_invariant(inv: SeifertInvariant) -> MarkedLens:
         raise NotALensForm("more than two exceptional fibers")
     pairs = list(cf.pairs) + [(1, 0)] * (2 - len(cf.pairs))
     (a1, b1), (a2, b2) = pairs
-    b1 += cf.b * a1  # fold the integer shift into the first ratio
+    # fold the integer shift into the first ratio
+    return MarkedLens(*_lens_pq(a1, b1 + cf.b * a1, a2, b2))
+
+
+def _lens_pq(a1, b1, a2, b2):
+    """``(p, q)`` of the fibering ``(0; (a1, b1), (a2, b2))``, with the Bezout
+    companion that has ``alpha1'`` in ``(-a1, 0]``."""
     alpha1p = -pow(b1, -1, a1)
     beta1p = (1 + b1 * alpha1p) // a1  # a1*beta1p - b1*alpha1p = 1
-    p = a1 * b2 + a2 * b1
-    q = alpha1p * b2 + a2 * beta1p
-    return MarkedLens(p, q)
+    return a1 * b2 + a2 * b1, alpha1p * b2 + a2 * beta1p
 
 
 def marked_equal(a: MarkedLens, b: MarkedLens) -> bool:
@@ -225,9 +229,10 @@ def exceptional_lens_fibering(alpha: int) -> tuple[SeifertInvariant, MarkedLens]
 
 
 # Largest bound ``enumerate_lens_fiberings`` accepts.  The search visits about
-# 0.6 * bound**3 triples (a1, b1, a2); at this cap the slowest query,
-# ``seifert enumerate-lens 1 0 200``, takes about 2 s on a 2-CPU x86-64 host
-# with CPython 3.11.
+# 1.2 * bound**2 coprime pairs (a1, b1) and about as many candidates a2
+# (48,927 and 48,726 for L(1, 0) at this cap); the slowest query,
+# ``seifert enumerate-lens 1 0 200``, takes about 0.5 s per process on a
+# 2-CPU x86-64 host with CPython 3.11.
 MAX_ENUMERATION_BOUND = 200
 
 
@@ -253,32 +258,56 @@ def enumerate_lens_fiberings(target: MarkedLens, bound: int) -> list[SeifertInva
     with ``a_i <= bound`` and ``|b_i| <= bound``, deduplicated up to
     fibering isomorphism and returned in canonical order.
 
-    Every such fibering has ``target.p = a1*b2 + a2*b1``, so each choice of
-    ``(a1, b1, a2)`` leaves at most one ``b2``; only those candidates are
-    normalized and have their marking compared with the target.  Bounds above
-    MAX_ENUMERATION_BOUND raise ValueError before any work is done.
+    Every such fibering has ``target.p = a1*b2 + a2*b1``.  For each
+    ``(a1, b1)`` the quotient ``b2`` is an integer only for ``a2`` in one
+    residue class mod ``a1``, and it lies in ``[-bound, bound]`` only for
+    ``a2`` in one window, so only those ``a2`` are visited.  Candidates are
+    keyed by their canonical pairs and shift, and the marking is compared
+    with the target once per key.  Bounds above MAX_ENUMERATION_BOUND raise
+    ValueError before any work is done.
     """
     if bound < 1:
         raise ValueError("bound must be a positive integer")
     if bound > MAX_ENUMERATION_BOUND:
         raise ValueError(f"bound must be at most {MAX_ENUMERATION_BOUND}")
     p = target.p
-    seen = {}  # canonical key -> canonical form, or None when the marking differs
+    seen = {}  # canonical (pairs, b) -> whether the marking is the target's
     for a1 in range(1, bound + 1):
+        # b2 = (p - a2*b1)/a1 is an integer iff a2 = p/b1 (mod a1); the class
+        # is looked up by b1 mod a1, and is None when gcd(a1, b1) != 1
+        classes = [p * pow(r, -1, a1) if math.gcd(r, a1) == 1 else None for r in range(a1)]
         for b1 in range(-bound, bound + 1):
-            if math.gcd(a1, b1) != 1:
+            r = classes[b1 % a1]
+            if r is None:
                 continue
-            # a2 >= a1, and b2 >= b1 when a2 == a1, visits each pair of pairs once
-            for a2 in range(a1, bound + 1):
-                b2, rem = divmod(p - a2 * b1, a1)
-                if rem or abs(b2) > bound or (a2 == a1 and b2 < b1) or math.gcd(a2, b2) != 1:
+            if b1:  # |b2| <= bound iff |a2*b1 - p| <= bound*a1
+                c, s = (b1, p) if b1 > 0 else (-b1, -p)
+                lo, hi = -((bound * a1 - s) // c), (s + bound * a1) // c
+            else:  # a1 = 1 and b2 = p for every a2
+                lo, hi = 1, (bound if -bound <= p <= bound else 0)
+            lo = lo if lo > a1 else a1
+            hi = hi if hi < bound else bound
+            lo += (r - lo) % a1
+            if lo == a1 and p < 2 * a1 * b1:
+                lo += a1  # a2 = a1 needs b2 >= b1, so each pair of pairs comes once
+            q1, r1 = divmod(b1, a1)
+            for a2 in range(lo, hi + 1, a1):
+                b2 = (p - a2 * b1) // a1
+                if math.gcd(a2, b2) != 1:
                     continue
-                inv = SeifertInvariant(0, ((a1, b1), (a2, b2)))
-                cf = normalize(inv)
-                key = (cf.pairs, cf.b)
+                # normalize's key: betas reduced mod alpha, (1, *) dropped, sorted
+                q2, r2 = divmod(b2, a2)
+                if a1 == 1:
+                    pairs = ((a2, r2),) if a2 > 1 else ()
+                elif a1 < a2 or r1 <= r2:
+                    pairs = ((a1, r1), (a2, r2))
+                else:
+                    pairs = ((a2, r2), (a1, r1))
+                key = (pairs, q1 + q2)
                 if key not in seen:
-                    seen[key] = cf if marked_equal(lens_from_invariant(inv), target) else None
-    return [cf.invariant() for _, cf in sorted(seen.items()) if cf is not None]
+                    seen[key] = marked_equal(MarkedLens(*_lens_pq(a1, b1, a2, b2)), target)
+    found = sorted(key for key, marked in seen.items() if marked)
+    return [CanonicalForm(0, 0, pairs, b).invariant() for pairs, b in found]
 
 
 def _unoriented_key(inv: SeifertInvariant):

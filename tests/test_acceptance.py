@@ -322,8 +322,9 @@ def _check_theorem1(max_p, bound):
             verdict = classify_lens(p, q)
             fiberings = manifold_fiberings(p, q, bound)
             assert fiberings, (p, q)
-            with_hvf = [f for f in fiberings if decide_hvf(f).exists]
-            without = [f for f in fiberings if not decide_hvf(f).exists]
+            exists = [decide_hvf(f).exists for f in fiberings]
+            with_hvf = [f for f, e in zip(fiberings, exists) if e]
+            without = [f for f, e in zip(fiberings, exists) if not e]
             if verdict.case is Theorem1Case.ALL_HAVE:
                 assert not without, (p, q)
             elif verdict.case is Theorem1Case.NONE_HAVE:
@@ -380,6 +381,25 @@ def test_criterion_07_lens_classification_p48():
         7,
         "classification verified against enumerated fiberings for p <= 48 "
         f"at bound 24 ({ {c.value: n for c, n in cases.items()} }) in {elapsed:.1f}s",
+    )
+
+
+def test_criterion_07_lens_classification_p64():
+    # bound 32 is at least p/2 for every p <= 64
+    start = time.time()
+    cases = _check_theorem1(64, 32)
+    elapsed = time.time() - start
+    assert elapsed < 60
+    assert {c.value: n for c, n in cases.items()} == {
+        "all_have": 2,
+        "mixed_infinite": 124,
+        "exactly_one": 30,
+        "none_have": 1105,
+    }
+    report(
+        7,
+        "classification verified against enumerated fiberings for p <= 64 "
+        f"at bound 32 ({ {c.value: n for c, n in cases.items()} }) in {elapsed:.1f}s",
     )
 
 

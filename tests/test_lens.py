@@ -2,6 +2,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import inv, unoriented_key
 from seifert import (
@@ -327,6 +328,26 @@ def _all_pairs_fiberings(target, bound):
     return [cf.invariant() for _, cf in sorted(seen.items())]
 
 
+@st.composite
+def edge_targets(draw, max_p=150, max_bound=10):
+    """A marked lens space with |p| <= max_p and a bound.  Half the draws
+    put p at ``+-a1*bound + a2*b1``, so that one candidate has ``b2`` exactly
+    on ``+-bound``, the edge of the enumerator's window."""
+    bound = draw(st.integers(1, max_bound))
+    if draw(st.booleans()):
+        a1 = draw(st.integers(1, bound))
+        b1 = draw(st.integers(-bound, bound))
+        a2 = draw(st.integers(a1, bound))
+        p = draw(st.sampled_from((1, -1))) * a1 * bound + a2 * b1
+        p = max(-max_p, min(max_p, p))
+    else:
+        p = draw(st.integers(-max_p, max_p))
+    q = draw(st.integers(0, max(abs(p) - 1, 0)))
+    while math.gcd(p, q) != 1:  # for p = 0 this ends at q = 1
+        q += 1
+    return MarkedLens(p, q), bound
+
+
 class TestEnumerateLensFiberings:
     def test_matches_all_pairs_oracle(self):
         # identical lists, order included, for every marking with |p| <= 16
@@ -340,6 +361,26 @@ class TestEnumerateLensFiberings:
                 assert enumerate_lens_fiberings(target, bound) == _all_pairs_fiberings(
                     target, bound
                 ), (target, bound)
+
+    @pytest.mark.parametrize("bound", [6, 7, 8])
+    def test_matches_all_pairs_oracle_at_census_bounds(self, bound):
+        # the lens-census benchmark enumerates every marking with |p| <= 16
+        # at bound 8
+        targets = [MarkedLens(p, q) for p, q in {
+            m for p in range(17) for q in (range(p) if p else (1,)) if math.gcd(p, q) == 1
+            for m in manifold_markings(p, q)
+        }]
+        assert len(targets) == 161
+        for target in targets:
+            assert enumerate_lens_fiberings(target, bound) == _all_pairs_fiberings(
+                target, bound
+            ), (target, bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_targets())
+    def test_matches_all_pairs_oracle_on_random_targets(self, case):
+        target, bound = case
+        assert enumerate_lens_fiberings(target, bound) == _all_pairs_fiberings(target, bound)
 
     def test_bound_limits(self):
         with pytest.raises(ValueError):

@@ -280,6 +280,13 @@ class TestConstructionChecks:
         with pytest.raises(ValueError, match="cone orders must be positive"):
             Orbifold(True, 0, (2, 0))
 
+    def test_orientable_becomes_bool(self):
+        orb = Orbifold(2, 1)
+        assert orb == Orbifold(True, 1)
+        assert hash(orb) == hash(Orbifold(True, 1))
+        assert repr(orb) == "Orbifold(orientable=True, genus=1, cone_orders=(), boundary_count=0)"
+        assert Orbifold(0, 1) == Orbifold(False, 1)
+
     def test_cone_orders_sorted_without_ones(self):
         orb = Orbifold(True, 0, [7, 1, Fraction(3), 2, 1])
         assert orb.cone_orders == (2, 3, 7)
