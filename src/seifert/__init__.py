@@ -23,7 +23,6 @@ from .invariant import (
     CanonicalForm,
     SeifertInvariant,
     alternate_fiberings,
-    base_orbifold,
     equal,
     euler_number,
     fiberwise_quotient,
@@ -34,6 +33,7 @@ from .orbifold import (
     GeometryClass,
     Orbifold,
     annulus,
+    base_orbifold,
     chi,
     chi_underlying,
     elliptic_family,

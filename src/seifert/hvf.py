@@ -201,10 +201,14 @@ def _merge_congruences(pairs):
 
 
 def _chi_underlying(inv: SeifertInvariant) -> int:
-    """Euler characteristic of a closed fibering's base surface, cone points
-    forgotten, read off the genus code."""
+    """Euler characteristic of the base surface, cone points forgotten:
+    ``orbifold.chi_underlying`` read off the genus code and boundary count,
+    ``2 - 2g - n`` for an orientable base and ``2 + g - n`` for ``g < 0``.
+    It is 0 exactly on the bare surfaces that carry a nowhere-zero field
+    (tangent to any boundary): the torus, the Klein bottle, the annulus and
+    the Mobius band."""
     g = inv.genus_code
-    return 2 - 2 * g if g >= 0 else 2 + g
+    return (2 - 2 * g if g >= 0 else 2 + g) - inv.boundary_count
 
 
 def _solve(inv: SeifertInvariant):
@@ -255,17 +259,18 @@ def _decide(inv: SeifertInvariant) -> HvfDecision:
     nowhere-zero vector field: any bounded one, or chi = 0 when closed (the
     torus and the Klein bottle).  The covering mechanism needs a non-empty
     degree set; its target is the unit tangent bundle of the base: the
-    integer pair ``(1, n - chi_u)`` and ``(a_i, -1)`` per cone point when
-    closed, and ``(g, n; (a_i, -1)...)`` with boundary, the integer pair
-    absorbed.
+    integer pair ``(1, n - chi_u)`` and ``(a_i, -1)`` per cone point, over
+    the same genus code and boundary.  With boundary, normalize drops the
+    integer pair.
     """
     cones = tuple((a, -1) for a, _ in inv.pairs if a >= 2)
+    chi_u = _chi_underlying(inv)
     mechanisms = []
-    if not cones and (not inv.closed or _chi_underlying(inv) == 0):
+    if not cones and (not inv.closed or chi_u == 0):
         mechanisms.append(SurfaceSection())
     degrees, obstruction = _solve(inv)
     if not degrees.is_empty():
-        pairs = ((1, len(cones) - _chi_underlying(inv)),) + cones if inv.closed else cones
+        pairs = ((1, len(cones) - chi_u),) + cones
         ut = SeifertInvariant(inv.genus_code, pairs, inv.boundary_count)
         mechanisms.append(Covering(degrees, normalize(ut).invariant()))
     exists = bool(mechanisms)
@@ -293,9 +298,9 @@ def decide_hvf_boundary(inv: SeifertInvariant) -> HvfDecision:
 
 def boundary_tangency(inv: SeifertInvariant) -> bool:
     """Whether a horizontal field everywhere tangent (equivalently, everywhere
-    transverse) to the boundary exists: only over the annulus or Mobius band."""
+    transverse) to the boundary exists: exactly when the base has no cone
+    point and its surface has chi 0, which with boundary means the annulus
+    or the Mobius band."""
     if inv.closed:
         raise ValueError("boundary tangency needs an invariant with boundary")
-    if any(a >= 2 for a, _ in inv.pairs):
-        return False
-    return (inv.genus_code, inv.boundary_count) in ((0, 2), (-1, 1))
+    return not any(a >= 2 for a, _ in inv.pairs) and _chi_underlying(inv) == 0

@@ -36,7 +36,6 @@ __all__ = [
     "euler_number",
     "reverse_orientation",
     "fiberwise_quotient",
-    "base_orbifold",
     "alternate_fiberings",
 ]
 
@@ -167,19 +166,6 @@ def fiberwise_quotient(inv: SeifertInvariant, d: int) -> SeifertInvariant:
             raise NotCoprime(i, f"degree {d} shares a factor with alpha {a} (pair {i})")
     return SeifertInvariant(
         inv.genus_code, tuple((a, d * b) for a, b in inv.pairs), inv.boundary_count
-    )
-
-
-def base_orbifold(inv: SeifertInvariant):
-    """The base orbifold: genus decoded from the sign of ``genus_code``,
-    one cone point per pair with ``alpha >= 2``."""
-    from . import orbifold
-
-    return orbifold.Orbifold(
-        orientable=inv.genus_code >= 0,
-        genus=abs(inv.genus_code),
-        cone_orders=tuple(a for a, _ in inv.pairs if a >= 2),
-        boundary_count=inv.boundary_count,
     )
 
 

@@ -211,8 +211,7 @@ def classify_lens(p: int, q: int) -> LensClassification:
     if p >= 8 and p % 4 == 0 and q % p in (p // 2 + 1, p // 2 - 1):
         # disjoint from the previous case: p/2 +- 1 = +-1 (mod p) only for p = 4
         assert q % p not in (1, p - 1)
-        witness = SeifertInvariant(-1, ((p // 4, -1),))
-        return LensClassification(Theorem1Case.EXACTLY_ONE, witness)
+        return LensClassification(Theorem1Case.EXACTLY_ONE, exceptional_lens_fibering(p // 4)[0])
     return LensClassification(Theorem1Case.NONE_HAVE)
 
 
@@ -321,7 +320,8 @@ def manifold_fiberings(p: int, q: int, bound: int) -> list[SeifertInvariant]:
     """Every fibering of the manifold ``L(p, q)`` at the search bound, once
     up to isomorphism that may reverse orientation: the two-fiber forms of
     each of ``manifold_markings(p, q)``, plus the projective-plane fibering
-    when ``p = 4*alpha`` and ``q = 2*alpha +- 1 (mod p)``."""
+    ``exceptional_lens_fibering(p // 4)`` when its lens space is
+    homeomorphic to ``L(p, q)``."""
     found = {}
     searched = []
     for pp, qq in manifold_markings(p, q):
@@ -333,7 +333,8 @@ def manifold_fiberings(p: int, q: int, bound: int) -> list[SeifertInvariant]:
         searched.append(target)
         for fibering in enumerate_lens_fiberings(target, bound):
             found.setdefault(_unoriented_key(fibering), fibering)
-    if p > 0 and p % 4 == 0 and q % p in ((p // 2 + 1) % p, (p // 2 - 1) % p):
-        fibering = exceptional_lens_fibering(p // 4)[0]
-        found.setdefault(_unoriented_key(fibering), fibering)
+    if p > 0 and p % 4 == 0:
+        fibering, lens = exceptional_lens_fibering(p // 4)
+        if homeomorphic(lens, MarkedLens(p, q)):
+            found.setdefault(_unoriented_key(fibering), fibering)
     return [found[key] for key in sorted(found)]

@@ -46,7 +46,7 @@ from .hvf import (
     decide_hvf_boundary,
 )
 from .homotopy import ComponentCatalog, _catalog
-from .invariant import SeifertInvariant, base_orbifold, euler_number, normalize
+from .invariant import SeifertInvariant, euler_number, normalize
 from .lens import MarkedLens, fibered_lens_hvf, lens_from_invariant
 from . import orbifold as orb_mod
 
@@ -224,11 +224,11 @@ def parse_invariant(text: str) -> SeifertInvariant:
 def print_invariant(inv: SeifertInvariant) -> str:
     """Canonical notation for the fibering (normalizes first)."""
     cf = normalize(inv)
-    rep = cf.invariant()
-    head = f"M({rep.genus_code};" if rep.closed else f"M({rep.genus_code}, {rep.boundary_count};"
-    if not rep.pairs:
+    head = f"M({cf.genus_code};" if inv.closed else f"M({cf.genus_code}, {cf.boundary_count};"
+    pairs = ((1, cf.b),) + cf.pairs if cf.b else cf.pairs
+    if not pairs:
         return head + ")"
-    return head + " " + ", ".join(f"({a},{b})" for a, b in rep.pairs) + ")"
+    return head + " " + ", ".join(f"({a},{b})" for a, b in pairs) + ")"
 
 
 # ------------------------------------------------------------------- reports
@@ -318,7 +318,7 @@ def invariant_report(text: str, inv: SeifertInvariant) -> dict:
     geometry, euler_number, chi, hvf, and the optional lens and homotopy
     sections.  Bounded invariants have null geometry and euler_number.
     """
-    base = base_orbifold(inv)
+    base = orb_mod.base_orbifold(inv)
     if inv.closed:
         geometry = orb_mod.geometry_class(base).value
         euler = rational_str(euler_number(inv))

@@ -26,6 +26,7 @@ from .invariant import SeifertInvariant
 
 __all__ = [
     "Orbifold",
+    "base_orbifold",
     "GeometryClass",
     "sphere",
     "projective_plane",
@@ -44,8 +45,6 @@ __all__ = [
     "fiberings_over",
     "is_torus",
     "is_klein_bottle",
-    "is_annulus",
-    "is_mobius_band",
 ]
 
 
@@ -87,6 +86,18 @@ class Orbifold(Record):
     @property
     def closed(self) -> bool:
         return self.boundary_count == 0
+
+
+def base_orbifold(inv: SeifertInvariant) -> Orbifold:
+    """The base orbifold of a fibering: orientable of genus ``g`` for genus
+    code ``g >= 0`` and with ``-g`` cross caps otherwise, one cone point per
+    pair with ``alpha >= 2``, and the fibering's boundary circles."""
+    return Orbifold(
+        orientable=inv.genus_code >= 0,
+        genus=abs(inv.genus_code),
+        cone_orders=tuple(a for a, _ in inv.pairs if a >= 2),
+        boundary_count=inv.boundary_count,
+    )
 
 
 def sphere(*cone_orders: int) -> Orbifold:
@@ -252,21 +263,3 @@ def is_torus(orb: Orbifold) -> bool:
 
 def is_klein_bottle(orb: Orbifold) -> bool:
     return orb.closed and not orb.orientable and orb.genus == 2 and not orb.cone_orders
-
-
-def is_annulus(orb: Orbifold) -> bool:
-    return (
-        orb.orientable
-        and orb.genus == 0
-        and orb.boundary_count == 2
-        and not orb.cone_orders
-    )
-
-
-def is_mobius_band(orb: Orbifold) -> bool:
-    return (
-        not orb.orientable
-        and orb.genus == 1
-        and orb.boundary_count == 1
-        and not orb.cone_orders
-    )

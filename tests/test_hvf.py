@@ -327,6 +327,39 @@ class TestClashIndices:
             assert 0 <= degrees.residue < degrees.modulus
 
 
+@st.composite
+def mixed_invariants(draw):
+    """Genus codes -4..4 and 0..3 boundary circles, with pairs that mix
+    integer pairs ``(1, b)`` and cone points."""
+    integer_pair = st.tuples(st.just(1), st.integers(-5, 5))
+    cone_point = st.integers(2, 6).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(-7, 7).filter(lambda b: math.gcd(a, b) == 1))
+    )
+    pairs = draw(st.lists(st.one_of(integer_pair, cone_point), max_size=3))
+    return inv(draw(st.integers(-4, 4)), *pairs, boundary=draw(st.integers(0, 3)))
+
+
+class TestOneSurfaceRule:
+    """The section and tangency tests read one chi of the bare base; the
+    oracle is the explicit list of surfaces that carry a nowhere-zero field:
+    the annulus and the Mobius band with boundary, the torus and the Klein
+    bottle without."""
+
+    @given(mixed_invariants())
+    def test_tangency_and_section(self, invariant):
+        bare = all(a == 1 for a, _ in invariant.pairs)
+        g, n = invariant.genus_code, invariant.boundary_count
+        if invariant.closed:
+            with pytest.raises(ValueError):
+                boundary_tangency(invariant)
+            decision = decide_hvf(invariant)
+        else:
+            assert boundary_tangency(invariant) == (bare and (g, n) in ((0, 2), (-1, 1)))
+            decision = decide_hvf_boundary(invariant)
+        section = bare and (not invariant.closed or g in (1, -2))
+        assert (SurfaceSection() in decision.mechanisms) == section
+
+
 class TestBoundaryTangency:
     def test_annulus(self):
         assert boundary_tangency(inv(0, boundary=2))

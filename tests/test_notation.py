@@ -208,6 +208,22 @@ class TestPrintInvariant:
     def test_bounded_empty(self):
         assert print_invariant(SeifertInvariant(0, (), 2)) == "M(0, 2;)"
 
+    def test_builds_no_invariant(self, monkeypatch):
+        # the canonical form is printed as it is, not rebuilt into a record
+        closed = SeifertInvariant(0, ((2, -1), (3, -1), (6, 5)))
+        bounded = SeifertInvariant(-1, ((3, 4), (1, 2)), 2)
+        calls = []
+        init = SeifertInvariant.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SeifertInvariant, "__init__", counting_init)
+        assert print_invariant(closed) == "M(0; (1,-2), (2,1), (3,2), (6,5))"
+        assert print_invariant(bounded) == "M(-1, 2; (3,1))"
+        assert calls == []
+
 
 class TestInvariantReport:
     def test_closed_report_shape(self):
