@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from .errors import NoHvf, SeifertError
 from .hvf import boundary_tangency
@@ -53,6 +52,12 @@ def _decision_lines(hvf: dict) -> list[str]:
                 f"with degrees {degree_set_str(mech['degrees'])}"
             )
     return lines
+
+
+def _rational_text(ratio: str) -> str:
+    """A report's "numerator/denominator" as ``str(Fraction)`` prints it:
+    the ratio is in lowest terms, so only a denominator of 1 is dropped."""
+    return ratio.removesuffix("/1")
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> int:
@@ -145,8 +150,8 @@ def _cmd_hvf(args) -> int:
         f"invariant: {report['normalized_invariant']}",
         f"base orbifold: {report['base_orbifold']}",
         f"geometry: {report['geometry']}",
-        f"euler number: {Fraction(report['euler_number'])}",
-        f"chi: {Fraction(report['chi'])}",
+        f"euler number: {_rational_text(report['euler_number'])}",
+        f"chi: {_rational_text(report['chi'])}",
         *_decision_lines(report["hvf"]),
     ]
     obs = report["hvf"]["obstruction"]

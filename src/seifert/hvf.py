@@ -19,7 +19,9 @@ class, a gcd test on the earlier pairs names the first one that contradicts
 it on its own.  The Euler pin is integer arithmetic: multiplied by the
 product P of the alphas, ``d * e = chi`` reads ``d * -sum(b_i P/a_i) =
 chi_u P - sum((a_i - 1) P/a_i)``, so no orbifold and no fraction is built
-unless a mismatch is reported.
+unless a mismatch is reported.  The fold that gives e and chi over P is
+``invariant._fold``, which the report reads as well.  The covering target,
+the unit tangent bundle of the base, is built in canonical form.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import BoundaryNotSupported
-from .invariant import SeifertInvariant, normalize
+from .invariant import SeifertInvariant, _chi_underlying, _fold
 
 __all__ = [
     "EmptyDegrees",
@@ -200,17 +202,6 @@ def _merge_congruences(pairs):
     return (r, m), None
 
 
-def _chi_underlying(inv: SeifertInvariant) -> int:
-    """Euler characteristic of the base surface, cone points forgotten:
-    ``orbifold.chi_underlying`` read off the genus code and boundary count,
-    ``2 - 2g - n`` for an orientable base and ``2 + g - n`` for ``g < 0``.
-    It is 0 exactly on the bare surfaces that carry a nowhere-zero field
-    (tangent to any boundary): the torus, the Klein bottle, the annulus and
-    the Mobius band."""
-    g = inv.genus_code
-    return (2 - 2 * g if g >= 0 else 2 + g) - inv.boundary_count
-
-
 def _solve(inv: SeifertInvariant):
     """The degree set of ``inv``, with the first failed condition when the
     set is empty."""
@@ -220,14 +211,8 @@ def _solve(inv: SeifertInvariant):
     residue, modulus = merged
     if not inv.closed:
         return DegreeProgression(residue, modulus), None
-    # over the product P of the alphas: e = -eb/P and chi = x/P, with
-    # eb = sum(b * P/a) and cone = sum((a - 1) * P/a)
-    eb, cone, p = 0, 0, 1
-    for a, b in inv.pairs:
-        eb = eb * a + b * p
-        cone = cone * a + (a - 1) * p
-        p *= a
-    x = _chi_underlying(inv) * p - cone
+    # over the product P of the alphas: e = -eb/P and chi = x/P
+    eb, x, p = _fold(inv)
     if eb:
         # d * e = chi is d * -eb = x
         pin = -x // eb if x % eb == 0 else None
@@ -260,19 +245,20 @@ def _decide(inv: SeifertInvariant) -> HvfDecision:
     torus and the Klein bottle).  The covering mechanism needs a non-empty
     degree set; its target is the unit tangent bundle of the base: the
     integer pair ``(1, n - chi_u)`` and ``(a_i, -1)`` per cone point, over
-    the same genus code and boundary.  With boundary, normalize drops the
-    integer pair.
+    the same genus code and boundary.  It is built in canonical form: each
+    ``(a_i, -1)`` shifts to ``(a_i, a_i - 1)``, which leaves the integer pair
+    ``(1, -chi_u)`` when closed, and with boundary the pair is dropped.
     """
-    cones = tuple((a, -1) for a, _ in inv.pairs if a >= 2)
+    cones = tuple(sorted((a, a - 1) for a, _ in inv.pairs if a >= 2))
     chi_u = _chi_underlying(inv)
     mechanisms = []
     if not cones and (not inv.closed or chi_u == 0):
         mechanisms.append(SurfaceSection())
     degrees, obstruction = _solve(inv)
     if not degrees.is_empty():
-        pairs = ((1, len(cones) - chi_u),) + cones
-        ut = SeifertInvariant(inv.genus_code, pairs, inv.boundary_count)
-        mechanisms.append(Covering(degrees, normalize(ut).invariant()))
+        pairs = ((1, -chi_u),) + cones if inv.closed and chi_u else cones
+        target = SeifertInvariant(inv.genus_code, pairs, inv.boundary_count)
+        mechanisms.append(Covering(degrees, target))
     exists = bool(mechanisms)
     return HvfDecision(exists, tuple(mechanisms), None if exists else obstruction)
 

@@ -128,6 +128,31 @@ def equal(a: SeifertInvariant, b: SeifertInvariant) -> bool:
     return normalize(a) == normalize(b)
 
 
+def _chi_underlying(inv: SeifertInvariant) -> int:
+    """Euler characteristic of the base surface, cone points forgotten:
+    ``orbifold.chi_underlying`` read off the genus code and boundary count,
+    ``2 - 2g - n`` for an orientable base and ``2 + g - n`` for ``g < 0``.
+    It is 0 exactly on the bare surfaces that carry a nowhere-zero field
+    (tangent to any boundary): the torus, the Klein bottle, the annulus and
+    the Mobius band."""
+    g = inv.genus_code
+    return (2 - 2 * g if g >= 0 else 2 + g) - inv.boundary_count
+
+
+def _fold(inv: SeifertInvariant) -> tuple[int, int, int]:
+    """The Euler number and the base orbifold's chi over one denominator, the
+    product P of the alphas: ``(eb, x, P)`` with ``e = -eb/P`` and ``chi =
+    x/P``, from ``eb = sum(b_i P/a_i)`` and ``x = chi_u P - sum((a_i - 1)
+    P/a_i)``.  Integer arithmetic only; neither ratio need be in lowest
+    terms."""
+    eb, cone, p = 0, 0, 1
+    for a, b in inv.pairs:
+        eb = eb * a + b * p
+        cone = cone * a + (a - 1) * p
+        p *= a
+    return eb, _chi_underlying(inv) * p - cone, p
+
+
 def euler_number(inv: SeifertInvariant) -> Fraction:
     """The Euler number ``-sum(b_i / a_i)`` of a closed fibering.
 
@@ -137,11 +162,8 @@ def euler_number(inv: SeifertInvariant) -> Fraction:
     """
     if not inv.closed:
         raise BoundaryNotSupported("Euler number is not defined with boundary")
-    num, den = 0, 1
-    for a, b in inv.pairs:
-        num = num * a + b * den
-        den *= a
-    return Fraction(-num, den)
+    eb, _, p = _fold(inv)
+    return Fraction(-eb, p)
 
 
 def reverse_orientation(inv: SeifertInvariant) -> SeifertInvariant:

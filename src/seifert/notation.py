@@ -24,11 +24,14 @@ form: betas reduced into [0, alpha), pairs sorted, and (for closed
 invariants) the accumulated integer pair ``(1, b)`` first when b != 0.
 
 The JSON report schema is documented in the README; its field names are a
-frozen contract.
+frozen contract.  The report reads its base orbifold, geometry, Euler number
+and chi off the invariant's pairs, through the one integer fold
+``invariant._fold``: no ``Orbifold`` and no ``Fraction`` is built for it.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -46,7 +49,7 @@ from .hvf import (
     decide_hvf_boundary,
 )
 from .homotopy import ComponentCatalog, _catalog
-from .invariant import SeifertInvariant, euler_number, normalize
+from .invariant import SeifertInvariant, _fold, normalize
 from .lens import MarkedLens, fibered_lens_hvf, lens_from_invariant
 from . import orbifold as orb_mod
 
@@ -136,13 +139,19 @@ def parse_orbifold(text: str) -> "orb_mod.Orbifold":
     return orb_mod.Orbifold(True, handles, tuple(cones), boundary or 0)
 
 
+def _orbifold_text(orientable: bool, genus: int, cone_orders, boundary_count: int) -> str:
+    """Canonical notation of the orbifold with these fields: the sorted cone
+    orders, then o/x tokens, then bN."""
+    parts = [str(a) for a in cone_orders]
+    parts += (["o"] if orientable else ["x"]) * genus
+    if boundary_count:
+        parts.append(f"b{boundary_count}")
+    return " ".join(parts) if parts else "1"
+
+
 def print_orbifold(orb) -> str:
     """Canonical notation: sorted cone orders, then o/x tokens, then bN."""
-    parts = [str(a) for a in orb.cone_orders]
-    parts += (["o"] if orb.orientable else ["x"]) * orb.genus
-    if orb.boundary_count:
-        parts.append(f"b{orb.boundary_count}")
-    return " ".join(parts) if parts else "1"
+    return _orbifold_text(orb.orientable, orb.genus, orb.cone_orders, orb.boundary_count)
 
 
 # ---------------------------------------------------------------- invariants
@@ -234,9 +243,16 @@ def print_invariant(inv: SeifertInvariant) -> str:
 # ------------------------------------------------------------------- reports
 
 
+def _ratio_str(num: int, den: int) -> str:
+    """The rational ``num/den``, for a positive ``den``, as
+    "numerator/denominator" in lowest terms."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def rational_str(x: Fraction) -> str:
     """Exact rationals are serialized as "numerator/denominator"."""
-    return f"{x.numerator}/{x.denominator}"
+    return _ratio_str(x.numerator, x.denominator)
 
 
 def degree_set_json(ds: DegreeSet) -> dict:
@@ -316,12 +332,16 @@ def invariant_report(text: str, inv: SeifertInvariant) -> dict:
 
     Field names are frozen: input, normalized_invariant, base_orbifold,
     geometry, euler_number, chi, hvf, and the optional lens and homotopy
-    sections.  Bounded invariants have null geometry and euler_number.
+    sections.  Bounded invariants have null geometry and euler_number.  The
+    base orbifold's fields are those ``base_orbifold`` reads off the
+    invariant, and e and chi come from one fold over the product of the
+    alphas.
     """
-    base = orb_mod.base_orbifold(inv)
+    orientable, genus, cones, boundary = orb_mod._base_fields(inv)
+    eb, x, p = _fold(inv)
     if inv.closed:
-        geometry = orb_mod.geometry_class(base).value
-        euler = rational_str(euler_number(inv))
+        geometry = orb_mod._geometry(orientable, genus, cones, x).value
+        euler = _ratio_str(-eb, p)
         decision = decide_hvf(inv)
     else:
         geometry = None
@@ -330,10 +350,10 @@ def invariant_report(text: str, inv: SeifertInvariant) -> dict:
     report = {
         "input": text,
         "normalized_invariant": print_invariant(inv),
-        "base_orbifold": print_orbifold(base),
+        "base_orbifold": _orbifold_text(orientable, genus, cones, boundary),
         "geometry": geometry,
         "euler_number": euler,
-        "chi": rational_str(orb_mod.chi(base)),
+        "chi": _ratio_str(x, p),
         "hvf": decision_json(decision),
     }
     if inv.closed:

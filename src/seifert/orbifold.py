@@ -88,16 +88,20 @@ class Orbifold(Record):
         return self.boundary_count == 0
 
 
+def _base_fields(inv: SeifertInvariant) -> tuple[bool, int, list[int], int]:
+    """The base orbifold's fields, in ``Orbifold``'s order and canonical form:
+    orientable of genus ``g`` for genus code ``g >= 0`` and with ``-g``
+    cross caps otherwise, the sorted orders of the pairs with ``alpha >= 2``,
+    and the fibering's boundary circles."""
+    g = inv.genus_code
+    return g >= 0, abs(g), sorted(a for a, _ in inv.pairs if a >= 2), inv.boundary_count
+
+
 def base_orbifold(inv: SeifertInvariant) -> Orbifold:
     """The base orbifold of a fibering: orientable of genus ``g`` for genus
     code ``g >= 0`` and with ``-g`` cross caps otherwise, one cone point per
     pair with ``alpha >= 2``, and the fibering's boundary circles."""
-    return Orbifold(
-        orientable=inv.genus_code >= 0,
-        genus=abs(inv.genus_code),
-        cone_orders=tuple(a for a, _ in inv.pairs if a >= 2),
-        boundary_count=inv.boundary_count,
-    )
+    return Orbifold(*_base_fields(inv))
 
 
 def sphere(*cone_orders: int) -> Orbifold:
@@ -152,28 +156,40 @@ def _require_closed(orb: Orbifold, what: str):
         raise BoundaryNotSupported(f"{what} is defined for closed orbifolds")
 
 
-def is_bad(orb: Orbifold) -> bool:
-    """Whether the orbifold is not a quotient of any surface by a finite
-    isometry group: a sphere with a single cone point, or with exactly two
-    cone points of different orders."""
-    _require_closed(orb, "the good/bad dichotomy")
-    if not orb.orientable or orb.genus != 0:
+def _is_bad(orientable: bool, genus: int, cone_orders) -> bool:
+    """The bad-orbifold rule on a closed orbifold's fields: a sphere with a
+    single cone point, or with exactly two of different orders."""
+    if not orientable or genus != 0:
         return False
-    c = orb.cone_orders
+    c = cone_orders
     return len(c) == 1 or (len(c) == 2 and c[0] != c[1])
 
 
-def geometry_class(orb: Orbifold) -> GeometryClass:
-    """Bad, or else elliptic/parabolic/hyperbolic by the sign of chi."""
-    _require_closed(orb, "the geometry class")
-    if is_bad(orb):
+def _geometry(orientable: bool, genus: int, cone_orders, x) -> GeometryClass:
+    """The geometry class of a closed orbifold from its fields and ``x``, a
+    number of the sign of chi: bad, or else elliptic/parabolic/hyperbolic as
+    chi is positive, zero or negative."""
+    if _is_bad(orientable, genus, cone_orders):
         return GeometryClass.BAD
-    x = chi(orb)
     if x > 0:
         return GeometryClass.ELLIPTIC
     if x == 0:
         return GeometryClass.PARABOLIC
     return GeometryClass.HYPERBOLIC
+
+
+def is_bad(orb: Orbifold) -> bool:
+    """Whether the orbifold is not a quotient of any surface by a finite
+    isometry group: a sphere with a single cone point, or with exactly two
+    cone points of different orders."""
+    _require_closed(orb, "the good/bad dichotomy")
+    return _is_bad(orb.orientable, orb.genus, orb.cone_orders)
+
+
+def geometry_class(orb: Orbifold) -> GeometryClass:
+    """Bad, or else elliptic/parabolic/hyperbolic by the sign of chi."""
+    _require_closed(orb, "the geometry class")
+    return _geometry(orb.orientable, orb.genus, orb.cone_orders, chi(orb))
 
 
 def elliptic_family(orb: Orbifold) -> tuple[str, int] | None:

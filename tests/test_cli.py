@@ -237,18 +237,19 @@ class TestExitCodes:
 
 
 class TestOrbifoldsPerQuery:
-    """The decision reads everything off the invariant; only the report's
-    printed base builds an ``Orbifold``."""
+    """The decision and the report read everything off the invariant: no
+    query that answers with a report builds an ``Orbifold``, and only an
+    Euler mismatch builds ``Fraction``s."""
 
     @pytest.mark.parametrize(
         "argv, built",
         [
-            (["hvf", "M(0; (1,-1), (5,2), (5,2), (5,2))", "--json"], 1),
-            (["hvf", "M(-2;)"], 1),
+            (["hvf", "M(0; (1,-1), (5,2), (5,2), (5,2))", "--json"], 0),
+            (["hvf", "M(-2;)"], 0),
             (["homotopy", "M(1; (1,1))", "--json"], 0),
             (["homotopy", "M(0; (2,1), (3,1), (5,1))"], 0),
-            (["boundary-hvf", "M(2, 1; (2,1), (4,1))", "--json"], 1),
-            (["boundary-hvf", "M(-1, 1;)"], 1),
+            (["boundary-hvf", "M(2, 1; (2,1), (4,1))", "--json"], 0),
+            (["boundary-hvf", "M(-1, 1;)"], 0),
         ],
     )
     def test_orbifold_builds(self, capsys, monkeypatch, argv, built):
@@ -262,6 +263,33 @@ class TestOrbifoldsPerQuery:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(Orbifold, "__init__", counting_init)
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert len(calls) == built
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (["hvf", "M(0; (1,-1), (5,2), (5,2), (5,2))", "--json"], 0),
+            (["hvf", "M(-2;)", "--json"], 0),
+            (["hvf", "M(0; (3,2), (6,1))", "--json"], 0),  # congruence clash
+            (["boundary-hvf", "M(2, 1; (2,1), (4,1))", "--json"], 0),
+            (["boundary-hvf", "M(-1, 1;)", "--json"], 0),
+            # an Euler mismatch carries its e and chi as Fractions
+            (["hvf", "M(0; (2,1), (3,1), (5,1))", "--json"], 2),
+        ],
+    )
+    def test_fraction_builds(self, capsys, monkeypatch, argv, built):
+        from fractions import Fraction
+
+        calls = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            calls.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
         code, _, err = run(capsys, *argv)
         assert code == 0, err
         assert len(calls) == built

@@ -18,6 +18,7 @@ from seifert import (
     base_orbifold,
     boundary_tangency,
     chi,
+    chi_underlying,
     decide_hvf,
     decide_hvf_boundary,
     equal,
@@ -267,6 +268,37 @@ class TestDecisionBody:
         assert small
         for d in small:
             assert equal(fiberwise_quotient(invariant, d), mech.target)
+
+
+@st.composite
+def unit_tangent_bundles(draw):
+    """Unit tangent bundles of closed orbifolds, each of which covers itself
+    with degree 1."""
+    orientable = draw(st.booleans())
+    genus = draw(st.integers(0 if orientable else 1, 3))
+    cones = draw(st.lists(st.integers(2, 9), max_size=4))
+    return unit_tangent_invariant(Orbifold(orientable, genus, tuple(cones)))
+
+
+class TestCoveringTarget:
+    """The target the decision builds in canonical form, against the unit
+    tangent bundle of the base built pair by pair and normalized."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(closed_invariants(), bounded_invariants(), unit_tangent_bundles()))
+    def test_target_is_normalized_unit_tangent_bundle(self, invariant):
+        decide = decide_hvf if invariant.closed else decide_hvf_boundary
+        covering = [m for m in decide(invariant).mechanisms if isinstance(m, Covering)]
+        if not covering:
+            return
+        (mech,) = covering
+        base = base_orbifold(invariant)
+        n = len(base.cone_orders)
+        pairs = ((1, n - chi_underlying(base)),) + tuple((a, -1) for a in base.cone_orders)
+        ut = SeifertInvariant(invariant.genus_code, pairs, invariant.boundary_count)
+        assert mech.target == normalize(ut).invariant()
+        if invariant.closed:
+            assert equal(mech.target, unit_tangent_invariant(base))
 
 
 def brute_clash(pairs):

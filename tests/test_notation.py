@@ -1,14 +1,20 @@
+import math
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import bounded_invariants, closed_invariants
 from seifert import (
     Orbifold,
     SeifertInvariant,
     annulus,
+    base_orbifold,
+    chi,
     equal,
+    euler_number,
+    geometry_class,
+    invariant_report,
     normalize,
     parse_invariant,
     parse_orbifold,
@@ -17,6 +23,7 @@ from seifert import (
     sphere,
 )
 from seifert.errors import NotCoprime, ParseError
+from seifert.notation import rational_str
 
 
 class TestParseOrbifold:
@@ -277,6 +284,59 @@ class TestInvariantReport:
             "i": 0,
             "j": 1,
         }
+
+
+@st.composite
+def report_texts(draw):
+    """Invariant text as a report reads it: genus codes -3..3, 0-2 boundary
+    circles and 0-5 pairs with alpha <= 9, (1, b) pairs mixed in.  Bad bases
+    (one cone point, or two unequal ones), e = 0 and one literal pair near the
+    description's digit budget are drawn on purpose."""
+
+    def coprime(a, b):
+        while math.gcd(a, b) != 1:
+            b += 1
+        return (a, b)
+
+    genus = draw(st.integers(-3, 3))
+    boundary = draw(st.integers(0, 2))
+    small = st.builds(coprime, st.integers(2, 9), st.integers(-20, 20))
+    trivial = st.builds(lambda b: (1, b), st.integers(-5, 5))
+    pairs = draw(st.lists(st.one_of(small, trivial), max_size=5))
+    kind = draw(st.sampled_from(["any", "bad", "e0", "long"]))
+    if kind == "bad":
+        genus = 0
+        orders = draw(st.lists(st.integers(2, 9), min_size=1, max_size=2, unique=True))
+        betas = draw(st.lists(st.integers(-20, 20), min_size=len(orders), max_size=len(orders)))
+        pairs = [p for p in pairs if p[0] == 1][:3] + [coprime(a, b) for a, b in zip(orders, betas)]
+    elif kind == "e0":
+        pairs = pairs[:2] + [(a, -b) for a, b in pairs[:2]] + [(1, 0)] * (len(pairs) > 4)
+    elif kind == "long":
+        # about 2,000 digits, under the budget of 2,150 that parsing allows
+        a = draw(st.integers(10**998, 10**1000))
+        pairs = pairs[:4] + [coprime(a, draw(st.integers(-(10**1000), 10**1000)))]
+    head = f"M({genus}, {boundary};" if boundary else f"M({genus};"
+    return head + " " + ", ".join(f"({a},{b})" for a, b in pairs) + ")"
+
+
+class TestReportFields:
+    """The report's base-surface fields, read off the invariant's pairs,
+    against the public Orbifold and Fraction path."""
+
+    @settings(max_examples=300)
+    @given(report_texts())
+    def test_fields_match_orbifold_path(self, text):
+        inv = parse_invariant(text)
+        report = invariant_report(text, inv)
+        base = base_orbifold(inv)
+        expected = (
+            print_orbifold(base),
+            geometry_class(base).value if inv.closed else None,
+            rational_str(euler_number(inv)) if inv.closed else None,
+            rational_str(chi(base)),
+        )
+        fields = ("base_orbifold", "geometry", "euler_number", "chi")
+        assert tuple(report[key] for key in fields) == expected
 
 
 class TestRoundTrips:
