@@ -19,9 +19,10 @@ class, a gcd test on the earlier pairs names the first one that contradicts
 it on its own.  The Euler pin is integer arithmetic: multiplied by the
 product P of the alphas, ``d * e = chi`` reads ``d * -sum(b_i P/a_i) =
 chi_u P - sum((a_i - 1) P/a_i)``, so no orbifold and no fraction is built
-unless a mismatch is reported.  The fold that gives e and chi over P is
-``invariant._fold``, which the report reads as well.  The covering target,
-the unit tangent bundle of the base, is built in canonical form.
+unless a decision with no field reports a mismatch.  The fold that gives e
+and chi over P is ``invariant._fold``, which the report reads as well.  The
+covering target, the unit tangent bundle of the base, is built in canonical
+form.
 """
 
 from __future__ import annotations
@@ -204,7 +205,10 @@ def _merge_congruences(pairs):
 
 def _solve(inv: SeifertInvariant):
     """The degree set of ``inv``, with the first failed condition when the
-    set is empty."""
+    set is empty: a CongruenceClash, or an Euler mismatch as the integers
+    ``(eb, x, P, pin)`` of ``d * -eb = x`` over the product P of the alphas,
+    which only ``_decide`` turns into an EulerMismatch, and only when no
+    field exists."""
     merged, clash = _merge_congruences(inv.pairs)
     if merged is None:
         return EmptyDegrees(), clash
@@ -218,10 +222,10 @@ def _solve(inv: SeifertInvariant):
         pin = -x // eb if x % eb == 0 else None
         if pin is not None and pin != 0 and pin % modulus == residue:
             return SingleDegree(pin), None
-        return EmptyDegrees(), EulerMismatch(Fraction(-eb, p), Fraction(x, p), pin)
+        return EmptyDegrees(), (eb, x, p, pin)
     if x == 0:
         return DegreeProgression(residue, modulus), None
-    return EmptyDegrees(), EulerMismatch(Fraction(0), Fraction(x, p), None)
+    return EmptyDegrees(), (0, x, p, None)
 
 
 def allowable_degrees(inv: SeifertInvariant) -> DegreeSet:
@@ -259,8 +263,12 @@ def _decide(inv: SeifertInvariant) -> HvfDecision:
         pairs = ((1, -chi_u),) + cones if inv.closed and chi_u else cones
         target = SeifertInvariant(inv.genus_code, pairs, inv.boundary_count)
         mechanisms.append(Covering(degrees, target))
-    exists = bool(mechanisms)
-    return HvfDecision(exists, tuple(mechanisms), None if exists else obstruction)
+    if mechanisms:
+        return HvfDecision(True, tuple(mechanisms), None)
+    if isinstance(obstruction, tuple):
+        eb, x, p, pin = obstruction
+        obstruction = EulerMismatch(Fraction(-eb, p), Fraction(x, p), pin)
+    return HvfDecision(False, (), obstruction)
 
 
 def decide_hvf(inv: SeifertInvariant) -> HvfDecision:

@@ -23,6 +23,12 @@ fibered marked lens space, with
 
 for any Bezout companion ``a1*b1' - b1*a1' = 1``; such a fibering carries a
 horizontal vector field exactly when ``p != 0`` and ``q = -1 (mod p)``.
+
+Both enumerators read one walk, ``_walk(p, bound)``, over the two-fiber
+fiberings with a given ``p``, each keyed in integers by its canonical pairs
+and shift: ``enumerate_lens_fiberings`` keeps one marking, and
+``manifold_fiberings`` keeps one manifold, each fibering once up to
+reversal, with the reversal's key read off the canonical key in integers.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from enum import Enum
 
 from ._record import Record
 from .errors import IncompatibleCover, NotALensForm, NotCoprime, ZeroDegree
-from .invariant import CanonicalForm, SeifertInvariant, normalize, reverse_orientation
+from .invariant import CanonicalForm, SeifertInvariant, normalize
 
 __all__ = [
     "MarkedLens",
@@ -200,10 +206,7 @@ def classify_lens(p: int, q: int) -> LensClassification:
         p/4 (returned as the witness);
       * otherwise (including p = 0): none do.
     """
-    if p < 0:
-        raise ValueError("p must be non-negative; apply orientation moves first")
-    if math.gcd(p, q) != 1:
-        raise NotCoprime(message=f"p = {p} and q = {q} are not coprime")
+    _check_manifold(p, q)
     if p in (1, 2):
         return LensClassification(Theorem1Case.ALL_HAVE)
     if p >= 3 and (q % p in (1, p - 1)):
@@ -227,22 +230,27 @@ def exceptional_lens_fibering(alpha: int) -> tuple[SeifertInvariant, MarkedLens]
     )
 
 
-# Largest bound ``enumerate_lens_fiberings`` accepts.  The search visits about
-# 1.2 * bound**2 coprime pairs (a1, b1) and about as many candidates a2
+# Largest bound ``_walk`` accepts, and so both enumerators.  The walk visits
+# about 1.2 * bound**2 coprime pairs (a1, b1) and about as many candidates a2
 # (48,927 and 48,726 for L(1, 0) at this cap); the slowest query,
 # ``seifert enumerate-lens 1 0 200``, takes about 0.5 s per process on a
 # 2-CPU x86-64 host with CPython 3.11.
 MAX_ENUMERATION_BOUND = 200
 
 
-def manifold_markings(p: int, q: int) -> list[tuple[int, int]]:
-    """Every marking ``(+-p, q')`` of the manifold ``L(p, q)``, with ``q'``
-    running over ``+-q`` and ``+-q^{-1}`` modulo ``p``, sorted.  Needs
-    ``p >= 0`` and ``q`` coprime to ``p``."""
+def _check_manifold(p: int, q: int) -> None:
+    """Raise unless ``L(p, q)`` names a manifold by its non-negative ``p``."""
     if p < 0:
         raise ValueError("p must be non-negative; apply orientation moves first")
     if math.gcd(p, q) != 1:
         raise NotCoprime(message=f"p = {p} and q = {q} are not coprime")
+
+
+def manifold_markings(p: int, q: int) -> list[tuple[int, int]]:
+    """Every marking ``(+-p, q')`` of the manifold ``L(p, q)``, with ``q'``
+    running over ``+-q`` and ``+-q^{-1}`` modulo ``p``, sorted.  Needs
+    ``p >= 0`` and ``q`` coprime to ``p``."""
+    _check_manifold(p, q)
     if p == 0:
         return [(0, 1)]
     qs = {q % p, -q % p}
@@ -252,25 +260,21 @@ def manifold_markings(p: int, q: int) -> list[tuple[int, int]]:
     return sorted((s * p, qq) for s in (1, -1) for qq in qs)
 
 
-def enumerate_lens_fiberings(target: MarkedLens, bound: int) -> list[SeifertInvariant]:
-    """All two-fiber genus-zero fiberings of the marked lens space ``target``
-    with ``a_i <= bound`` and ``|b_i| <= bound``, deduplicated up to
-    fibering isomorphism and returned in canonical order.
+def _walk(p: int, bound: int) -> dict:
+    """Every two-fiber genus-zero fibering with ``p = a1*b2 + a2*b1``,
+    ``a_i <= bound`` and ``|b_i| <= bound``, as ``{(pairs, b): q}``: its
+    canonical pairs and shift, and the ``q`` of its marking from ``_lens_pq``.
 
-    Every such fibering has ``target.p = a1*b2 + a2*b1``.  For each
-    ``(a1, b1)`` the quotient ``b2`` is an integer only for ``a2`` in one
-    residue class mod ``a1``, and it lies in ``[-bound, bound]`` only for
-    ``a2`` in one window, so only those ``a2`` are visited.  Candidates are
-    keyed by their canonical pairs and shift, and the marking is compared
-    with the target once per key.  Bounds above MAX_ENUMERATION_BOUND raise
-    ValueError before any work is done.
+    For each ``(a1, b1)`` the quotient ``b2`` is an integer only for ``a2``
+    in one residue class mod ``a1``, and it lies in ``[-bound, bound]`` only
+    for ``a2`` in one window, so only those ``a2`` are visited.  Bounds above
+    MAX_ENUMERATION_BOUND raise ValueError before any work is done.
     """
     if bound < 1:
         raise ValueError("bound must be a positive integer")
     if bound > MAX_ENUMERATION_BOUND:
         raise ValueError(f"bound must be at most {MAX_ENUMERATION_BOUND}")
-    p = target.p
-    seen = {}  # canonical (pairs, b) -> whether the marking is the target's
+    seen = {}
     for a1 in range(1, bound + 1):
         # b2 = (p - a2*b1)/a1 is an integer iff a2 = p/b1 (mod a1); the class
         # is looked up by b1 mod a1, and is None when gcd(a1, b1) != 1
@@ -304,37 +308,54 @@ def enumerate_lens_fiberings(target: MarkedLens, bound: int) -> list[SeifertInva
                     pairs = ((a2, r2), (a1, r1))
                 key = (pairs, q1 + q2)
                 if key not in seen:
-                    seen[key] = marked_equal(MarkedLens(*_lens_pq(a1, b1, a2, b2)), target)
-    found = sorted(key for key, marked in seen.items() if marked)
+                    seen[key] = _lens_pq(a1, b1, a2, b2)[1]
+    return seen
+
+
+def enumerate_lens_fiberings(target: MarkedLens, bound: int) -> list[SeifertInvariant]:
+    """All two-fiber genus-zero fiberings of the marked lens space ``target``
+    with ``a_i <= bound`` and ``|b_i| <= bound``, deduplicated up to
+    fibering isomorphism and returned in canonical order.
+
+    Every such fibering has ``target.p = a1*b2 + a2*b1``, so one ``_walk`` at
+    that ``p`` finds them all, keyed by their canonical pairs and shift; the
+    marking is compared with the target once per key.  Bounds above
+    MAX_ENUMERATION_BOUND raise ValueError before any work is done.
+    """
+    p = target.p
+    found = sorted(
+        key for key, q in _walk(p, bound).items() if marked_equal(MarkedLens(p, q), target)
+    )
     return [CanonicalForm(0, 0, pairs, b).invariant() for pairs, b in found]
 
 
-def _unoriented_key(inv: SeifertInvariant):
-    """One key per fibering up to isomorphism that may reverse orientation."""
-    cf = normalize(inv)
-    rcf = normalize(reverse_orientation(inv))
-    return min((cf.genus_code, cf.pairs, cf.b), (rcf.genus_code, rcf.pairs, rcf.b))
+def _up_to_reversal(key):
+    """The smaller of a canonical ``(pairs, b)`` and its reversal's: negating
+    the betas sends each ``(a, r)`` to ``(a, a - r)`` and the shift to
+    ``-b - 1`` per pair."""
+    pairs, b = key
+    return min(key, (tuple(sorted((a, a - r) for a, r in pairs)), -b - len(pairs)))
 
 
 def manifold_fiberings(p: int, q: int, bound: int) -> list[SeifertInvariant]:
     """Every fibering of the manifold ``L(p, q)`` at the search bound, once
-    up to isomorphism that may reverse orientation: the two-fiber forms of
-    each of ``manifold_markings(p, q)``, plus the projective-plane fibering
-    ``exceptional_lens_fibering(p // 4)`` when its lens space is
-    homeomorphic to ``L(p, q)``."""
-    found = {}
-    searched = []
-    for pp, qq in manifold_markings(p, q):
-        target = MarkedLens(pp, qq)
-        # L(-p, q') carries the orientation reversals of the fiberings of
-        # L(p, q'), and marked-equal targets carry the same fiberings
-        if pp < 0 or any(marked_equal(target, t) for t in searched):
-            continue
-        searched.append(target)
-        for fibering in enumerate_lens_fiberings(target, bound):
-            found.setdefault(_unoriented_key(fibering), fibering)
+    up to isomorphism that may reverse orientation, for ``p >= 0`` and ``q``
+    coprime to ``p``, sorted by the smaller of each key and its reversal's.
+
+    Reversing a fibering's orientation sends ``p`` to ``-p``, so one
+    ``_walk`` at ``p`` meets every fibering, and the homeomorphism test
+    keeps those of ``L(p, q)``.  It meets each one once: at ``p != 0`` the
+    reversal lies in the walk at ``-p``, and at ``p = 0`` every fibering is
+    ``(a, r), (a, a - r)`` with shift -1, its own reversal.  The
+    projective-plane fibering ``exceptional_lens_fibering(p // 4)`` comes
+    first when its lens space is homeomorphic to ``L(p, q)``.
+    """
+    _check_manifold(p, q)
+    lens = MarkedLens(p, q)
+    keys = [key for key, kq in _walk(p, bound).items() if homeomorphic(MarkedLens(p, kq), lens)]
+    out = [CanonicalForm(0, 0, *key).invariant() for key in sorted(keys, key=_up_to_reversal)]
     if p > 0 and p % 4 == 0:
-        fibering, lens = exceptional_lens_fibering(p // 4)
-        if homeomorphic(lens, MarkedLens(p, q)):
-            found.setdefault(_unoriented_key(fibering), fibering)
-    return [found[key] for key in sorted(found)]
+        fibering, exceptional = exceptional_lens_fibering(p // 4)
+        if homeomorphic(exceptional, lens):
+            out.insert(0, fibering)
+    return out

@@ -403,6 +403,25 @@ def test_criterion_07_lens_classification_p64():
     )
 
 
+def test_criterion_07_lens_classification_p80():
+    # bound 40 is at least p/2 for every p <= 80
+    start = time.time()
+    cases = _check_theorem1(80, 40)
+    elapsed = time.time() - start
+    assert elapsed < 60
+    assert {c.value: n for c, n in cases.items()} == {
+        "all_have": 2,
+        "mixed_infinite": 156,
+        "exactly_one": 38,
+        "none_have": 1771,
+    }
+    report(
+        7,
+        "classification verified against enumerated fiberings for p <= 80 "
+        f"at bound 40 ({ {c.value: n for c, n in cases.items()} }) in {elapsed:.1f}s",
+    )
+
+
 # --------------------------------------------------------------------------
 # 8. The lens marking is well defined and matches the decision procedure.
 

@@ -277,6 +277,10 @@ class TestOrbifoldsPerQuery:
             (["boundary-hvf", "M(-1, 1;)", "--json"], 0),
             # an Euler mismatch carries its e and chi as Fractions
             (["hvf", "M(0; (2,1), (3,1), (5,1))", "--json"], 2),
+            # the section fires on the torus and the Klein bottle, so their
+            # Euler mismatch is never reported
+            (["hvf", "M(1; (1,1))", "--json"], 0),
+            (["hvf", "M(-2; (1,3))", "--json"], 0),
         ],
     )
     def test_fraction_builds(self, capsys, monkeypatch, argv, built):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -447,26 +448,56 @@ class TestManifoldMarkings:
 
 
 
+def _marking_union(p, q, marking_fiberings):
+    """Oracle for manifold_fiberings: the fiberings of every marking of
+    L(p, q), the markings with p >= 0 first, each fibering kept in the form
+    found first under its key up to reversal, plus the projective-plane
+    fibering found by scanning alpha; sorted by that key."""
+    found = {}
+    for pp, qq in sorted(manifold_markings(p, q), key=lambda m: (m[0] < 0, m)):
+        for f in marking_fiberings(MarkedLens(pp, qq)):
+            found.setdefault(unoriented_key(f), f)
+    for alpha in range(1, p // 4 + 1):
+        if 4 * alpha == p and q % p in ((2 * alpha + 1) % p, (2 * alpha - 1) % p):
+            fibering = inv(-1, (alpha, -1))
+            found.setdefault(unoriented_key(fibering), fibering)
+    return [found[key] for key in sorted(found)]
+
+
 class TestManifoldFiberings:
     def test_matches_marking_union(self):
-        # oracle: the all-pairs fiberings of every marking, plus the
-        # projective-plane fibering found by scanning alpha
-        for p in range(0, 13):
-            for q in range(p) if p else (1,):
-                if math.gcd(p, q) != 1:
-                    continue
-                expected = {
-                    unoriented_key(f)
-                    for pp, qq in manifold_markings(p, q)
-                    for f in _all_pairs_fiberings(MarkedLens(pp, qq), 4)
-                }
-                for alpha in range(1, p // 4 + 1):
-                    if 4 * alpha == p and q % p in ((2 * alpha + 1) % p, (2 * alpha - 1) % p):
-                        expected.add(unoriented_key(inv(-1, (alpha, -1))))
-                found = manifold_fiberings(p, q, 4)
-                keys = [unoriented_key(f) for f in found]
-                assert keys == sorted(set(keys)), (p, q)
-                assert set(keys) == expected, (p, q)
+        # identical lists: order, representatives and the projective-plane
+        # fibering first
+        for max_p, bound in ((12, 4), (16, 6)):
+            # each marking's all-pairs fiberings, shared by the q of its class
+            marking_fiberings = functools.cache(lambda t, b=bound: _all_pairs_fiberings(t, b))
+            for p in range(0, max_p + 1):
+                for q in range(p) if p else (1,):
+                    if math.gcd(p, q) != 1:
+                        continue
+                    assert manifold_fiberings(p, q, bound) == _marking_union(
+                        p, q, marking_fiberings
+                    ), (p, q, bound)
+
+    @pytest.mark.parametrize("p, q", [(0, 1), (1, 0), (2, 1), (7, 2), (12, 5), (12, 1), (16, 7)])
+    def test_one_walk_per_call(self, monkeypatch, p, q):
+        import seifert.lens as lens
+
+        calls = []
+        walk = lens._walk
+
+        def counting_walk(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(lens, "_walk", counting_walk)
+        manifold_fiberings(p, q, 5)
+        assert calls == [(p, 5)]
+        calls.clear()
+        for pp, qq in manifold_markings(p, q):
+            enumerate_lens_fiberings(MarkedLens(pp, qq), 5)
+            assert calls == [(pp, 5)]
+            calls.clear()
 
     def test_projective_plane_fibering(self):
         # L(12, q) carries it for q = 6 +- 1 only
