@@ -5,9 +5,8 @@ isomorphism that may reverse orientation).
 """
 
 import argparse
-import math
 
-from seifert import classify_lens, decide_hvf, manifold_fiberings, print_invariant
+from seifert import classify_lens, decide_hvf, lens_census, print_invariant
 
 
 def main():
@@ -17,19 +16,15 @@ def main():
     args = parser.parse_args()
 
     print(f"{'L(p,q)':>8}  {'verdict':<15} {'with':>5} {'without':>8}  witness")
-    for p in range(args.max_p + 1):
-        for q in range(p) if p else (1,):
-            if math.gcd(p, q) != 1:
-                continue
-            verdict = classify_lens(p, q)
-            fiberings = manifold_fiberings(p, q, args.bound)
-            with_hvf = sum(decide_hvf(f).exists for f in fiberings)
-            witness = print_invariant(verdict.witness) if verdict.witness else ""
-            print(
-                f"L({p},{q})".rjust(8)
-                + f"  {verdict.case.value:<15} {with_hvf:>5} "
-                + f"{len(fiberings) - with_hvf:>8}  {witness}"
-            )
+    for (p, q), fiberings in lens_census(args.max_p, args.bound).items():
+        verdict = classify_lens(p, q)
+        with_hvf = sum(decide_hvf(f).exists for f in fiberings)
+        witness = print_invariant(verdict.witness) if verdict.witness else ""
+        print(
+            f"L({p},{q})".rjust(8)
+            + f"  {verdict.case.value:<15} {with_hvf:>5} "
+            + f"{len(fiberings) - with_hvf:>8}  {witness}"
+        )
 
 
 if __name__ == "__main__":

@@ -73,6 +73,7 @@ from .lens import (
     exceptional_lens_fibering,
     fibered_lens_hvf,
     homeomorphic,
+    lens_census,
     lens_cover,
     lens_from_invariant,
     manifold_fiberings,

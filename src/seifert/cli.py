@@ -27,6 +27,7 @@ from .lens import (
     oriented_diffeomorphic,
 )
 from .notation import (
+    _digit_budget,
     catalog_json,
     degree_set_str,
     invariant_report,
@@ -171,6 +172,12 @@ def _cmd_hvf(args) -> int:
 
 def _cmd_quotient(args) -> int:
     inv = parse_invariant(args.invariant)
+    # the degree multiplies every beta, so its digits count against the
+    # budget of the description's literals (which hold all its digits), and
+    # the quotient stays printable
+    digits = sum(c.isdigit() for c in args.invariant) + len(str(abs(args.degree)))
+    if digits > _digit_budget():
+        raise ValueError("degree too large")
     result = fiberwise_quotient(inv, args.degree)
     payload = {
         "input": args.invariant,

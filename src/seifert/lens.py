@@ -24,11 +24,11 @@ fibered marked lens space, with
 for any Bezout companion ``a1*b1' - b1*a1' = 1``; such a fibering carries a
 horizontal vector field exactly when ``p != 0`` and ``q = -1 (mod p)``.
 
-Both enumerators read one walk, ``_walk(p, bound)``, over the two-fiber
-fiberings with a given ``p``, each keyed in integers by its canonical pairs
-and shift: ``enumerate_lens_fiberings`` keeps one marking, and
-``manifold_fiberings`` keeps one manifold, each fibering once up to
-reversal, with the reversal's key read off the canonical key in integers.
+Both rules live in one integer helper, ``_residues``, and every fibering
+with a given ``p`` in one walk, ``_walk(p, bound)``, keyed by its canonical
+pairs and shift.  ``enumerate_lens_fiberings`` keeps the keys of one
+marking; ``_manifolds`` files the walk by manifold, each fibering once up to
+reversal, for ``manifold_fiberings`` and ``lens_census``.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ __all__ = [
     "enumerate_lens_fiberings",
     "manifold_markings",
     "manifold_fiberings",
+    "lens_census",
     "MAX_ENUMERATION_BOUND",
 ]
 
@@ -111,14 +112,26 @@ def _lens_pq(a1, b1, a2, b2):
     return a1 * b2 + a2 * b1, alpha1p * b2 + a2 * beta1p
 
 
+def _residues(p: int, q: int, homeo: bool = False) -> tuple[int, set[int]]:
+    """``(m, qs)``: the residues mod ``m`` of the ``q'`` with ``L(p, q')`` the
+    marked space ``L(p, q)``, namely ``q`` and ``q^{-1}`` mod ``|p|``; with
+    ``homeo``, Brody's class, their negatives too.  At ``p = 0`` the ``q'``
+    are +-1, both the canonical 1: the residue 1 mod 2."""
+    if p == 0:
+        return 2, {1}
+    m = abs(p)
+    qs = {q % m, pow(q, -1, m)}
+    return m, (qs | {-r % m for r in qs} if homeo else qs)
+
+
+def _manifold_key(p: int, q: int) -> int:
+    """The smallest residue of the homeomorphism class of ``L(p, q)``."""
+    return min(_residues(p, q, homeo=True)[1])
+
+
 def marked_equal(a: MarkedLens, b: MarkedLens) -> bool:
     """Same marked lens space: equal ``p`` and ``q`` equal or inverse mod p."""
-    if a.p != b.p:
-        return False
-    if a.p == 0:
-        return a.q == b.q
-    m = abs(a.p)
-    return (a.q - b.q) % m == 0 or (a.q * b.q - 1) % m == 0
+    return a.p == b.p and b.q in _residues(a.p, a.q)[1]
 
 
 def reverse_orientation_lens(a: MarkedLens) -> MarkedLens:
@@ -137,17 +150,7 @@ def oriented_diffeomorphic(a: MarkedLens, b: MarkedLens) -> bool:
 
 def homeomorphic(a: MarkedLens, b: MarkedLens) -> bool:
     """Brody's criterion: |p| equal and q1 = +-q2^{+-1} (mod p)."""
-    if abs(a.p) != abs(b.p):
-        return False
-    if a.p == 0:
-        return True  # canonical q is 1 on both sides
-    m = abs(a.p)
-    return (
-        (a.q - b.q) % m == 0
-        or (a.q + b.q) % m == 0
-        or (a.q * b.q - 1) % m == 0
-        or (a.q * b.q + 1) % m == 0
-    )
+    return abs(a.p) == abs(b.p) and b.q in _residues(a.p, a.q, homeo=True)[1]
 
 
 def fibered_lens_hvf(a: MarkedLens) -> bool:
@@ -230,8 +233,8 @@ def exceptional_lens_fibering(alpha: int) -> tuple[SeifertInvariant, MarkedLens]
     )
 
 
-# Largest bound ``_walk`` accepts, and so both enumerators.  The walk visits
-# about 1.2 * bound**2 coprime pairs (a1, b1) and about as many candidates a2
+# Largest bound ``_check_bound`` accepts, for the walk and the census.  The walk
+# visits about 1.2 * bound**2 coprime pairs (a1, b1) and about as many candidates a2
 # (48,927 and 48,726 for L(1, 0) at this cap); the slowest query,
 # ``seifert enumerate-lens 1 0 200``, takes about 0.5 s per process on a
 # 2-CPU x86-64 host with CPython 3.11.
@@ -247,17 +250,17 @@ def _check_manifold(p: int, q: int) -> None:
 
 
 def manifold_markings(p: int, q: int) -> list[tuple[int, int]]:
-    """Every marking ``(+-p, q')`` of the manifold ``L(p, q)``, with ``q'``
-    running over ``+-q`` and ``+-q^{-1}`` modulo ``p``, sorted.  Needs
-    ``p >= 0`` and ``q`` coprime to ``p``."""
+    """Every marking ``(+-p, q')`` of the manifold ``L(p, q)``, sorted, for
+    ``p >= 0`` and ``q`` coprime to ``p``: ``q'`` runs over ``+-q^{+-1}``."""
     _check_manifold(p, q)
-    if p == 0:
-        return [(0, 1)]
-    qs = {q % p, -q % p}
-    if p > 2:
-        inv_q = pow(q, -1, p)
-        qs |= {inv_q, -inv_q % p}
-    return sorted((s * p, qq) for s in (1, -1) for qq in qs)
+    return sorted({(s * p, r) for s in (1, -1) for r in _residues(p, q, homeo=True)[1]})
+
+
+def _check_bound(bound: int) -> None:
+    if bound < 1:
+        raise ValueError("bound must be a positive integer")
+    if bound > MAX_ENUMERATION_BOUND:
+        raise ValueError(f"bound must be at most {MAX_ENUMERATION_BOUND}")
 
 
 def _walk(p: int, bound: int) -> dict:
@@ -267,13 +270,9 @@ def _walk(p: int, bound: int) -> dict:
 
     For each ``(a1, b1)`` the quotient ``b2`` is an integer only for ``a2``
     in one residue class mod ``a1``, and it lies in ``[-bound, bound]`` only
-    for ``a2`` in one window, so only those ``a2`` are visited.  Bounds above
-    MAX_ENUMERATION_BOUND raise ValueError before any work is done.
+    for ``a2`` in one window, so only those ``a2`` are visited.
     """
-    if bound < 1:
-        raise ValueError("bound must be a positive integer")
-    if bound > MAX_ENUMERATION_BOUND:
-        raise ValueError(f"bound must be at most {MAX_ENUMERATION_BOUND}")
+    _check_bound(bound)
     seen = {}
     for a1 in range(1, bound + 1):
         # b2 = (p - a2*b1)/a1 is an integer iff a2 = p/b1 (mod a1); the class
@@ -318,14 +317,12 @@ def enumerate_lens_fiberings(target: MarkedLens, bound: int) -> list[SeifertInva
     fibering isomorphism and returned in canonical order.
 
     Every such fibering has ``target.p = a1*b2 + a2*b1``, so one ``_walk`` at
-    that ``p`` finds them all, keyed by their canonical pairs and shift; the
-    marking is compared with the target once per key.  Bounds above
+    that ``p`` finds them all, keyed by their canonical pairs and shift; a
+    key is kept when its ``q`` lies in the target's residues.  Bounds above
     MAX_ENUMERATION_BOUND raise ValueError before any work is done.
     """
-    p = target.p
-    found = sorted(
-        key for key, q in _walk(p, bound).items() if marked_equal(MarkedLens(p, q), target)
-    )
+    m, qs = _residues(target.p, target.q)
+    found = sorted(key for key, q in _walk(target.p, bound).items() if q % m in qs)
     return [CanonicalForm(0, 0, pairs, b).invariant() for pairs, b in found]
 
 
@@ -337,25 +334,41 @@ def _up_to_reversal(key):
     return min(key, (tuple(sorted((a, a - r) for a, r in pairs)), -b - len(pairs)))
 
 
+def _manifolds(p: int, bound: int) -> dict[int, list[SeifertInvariant]]:
+    """The walk at ``p >= 0`` filed by ``_manifold_key``, each manifold in the
+    order of ``manifold_fiberings``.  Reversal sends ``p`` to ``-p``, so the walk
+    meets each fibering of ``L(p, *)`` once; at ``p = 0`` each is its own reversal."""
+    out, walk = {}, _walk(p, bound)
+    for key in sorted(walk, key=_up_to_reversal):
+        fibering = CanonicalForm(0, 0, *key).invariant()
+        out.setdefault(_manifold_key(p, walk[key]), []).append(fibering)
+    if p > 0 and p % 4 == 0:
+        fibering, lens = exceptional_lens_fibering(p // 4)
+        out.setdefault(_manifold_key(p, lens.q), []).insert(0, fibering)
+    return out
+
+
 def manifold_fiberings(p: int, q: int, bound: int) -> list[SeifertInvariant]:
     """Every fibering of the manifold ``L(p, q)`` at the search bound, once
     up to isomorphism that may reverse orientation, for ``p >= 0`` and ``q``
-    coprime to ``p``, sorted by the smaller of each key and its reversal's.
-
-    Reversing a fibering's orientation sends ``p`` to ``-p``, so one
-    ``_walk`` at ``p`` meets every fibering, and the homeomorphism test
-    keeps those of ``L(p, q)``.  It meets each one once: at ``p != 0`` the
-    reversal lies in the walk at ``-p``, and at ``p = 0`` every fibering is
-    ``(a, r), (a, a - r)`` with shift -1, its own reversal.  The
-    projective-plane fibering ``exceptional_lens_fibering(p // 4)`` comes
-    first when its lens space is homeomorphic to ``L(p, q)``.
-    """
+    coprime to ``p``: the projective-plane fibering first when the manifold
+    has it, then the two-fiber ones sorted by the smaller of each key and
+    its reversal's.  One group of ``_manifolds(p, bound)``."""
     _check_manifold(p, q)
-    lens = MarkedLens(p, q)
-    keys = [key for key, kq in _walk(p, bound).items() if homeomorphic(MarkedLens(p, kq), lens)]
-    out = [CanonicalForm(0, 0, *key).invariant() for key in sorted(keys, key=_up_to_reversal)]
-    if p > 0 and p % 4 == 0:
-        fibering, exceptional = exceptional_lens_fibering(p // 4)
-        if homeomorphic(exceptional, lens):
-            out.insert(0, fibering)
-    return out
+    return _manifolds(p, bound).get(_manifold_key(p, q), [])
+
+
+def lens_census(max_p: int, bound: int) -> dict[tuple[int, int], list[SeifertInvariant]]:
+    """``{(p, q): manifold_fiberings(p, q, bound)}`` for ``(0, 1)`` and every
+    coprime ``0 <= q < p <= max_p``, in that order, from one walk per ``p``.
+    A negative ``max_p`` or a bad bound raises ValueError before any walk."""
+    if max_p < 0:
+        raise ValueError("max_p must be non-negative")
+    _check_bound(bound)
+    census = {}
+    for p in range(max_p + 1):
+        manifolds = _manifolds(p, bound)
+        for q in range(p) if p else (1,):
+            if math.gcd(p, q) == 1:
+                census[p, q] = list(manifolds.get(_manifold_key(p, q), ()))
+    return census

@@ -79,16 +79,21 @@ _CONE_TOKEN = re.compile(r"[0-9]+\Z")
 _BOUNDARY_TOKEN = re.compile(r"b([0-9]+)\Z")
 
 
+def _digit_budget() -> int:
+    """The digits that the integer literals of one description may have
+    together: half Python's limit on integer string conversion, or 2,150
+    when there is none."""
+    return (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) // 2
+
+
 class _Literals:
-    """The integer literals of one description, read against one budget of
-    digits: half Python's limit on integer string conversion, or 2,150 when
-    there is none.  Every number derived from the literals (the product of
-    the alphas, e, chi, the Euler pin, moduli, lens parameters) then stays
-    printable."""
+    """The integer literals of one description, read against one
+    ``_digit_budget``.  Every number derived from the literals (the product
+    of the alphas, e, chi, the Euler pin, moduli, lens parameters) then
+    stays printable."""
 
     def __init__(self, what: str):
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        self.left = (limit or 4300) // 2
+        self.left = _digit_budget()
         self.what = what
 
     def read(self, digits: str, pos: int) -> int:

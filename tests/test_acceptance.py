@@ -34,8 +34,8 @@ from seifert import (
     fibered_lens_hvf,
     homeomorphic,
     homotopy_components,
+    lens_census,
     lens_from_invariant,
-    manifold_fiberings,
     marked_equal,
     normalize,
     oriented_diffeomorphic,
@@ -313,29 +313,30 @@ def test_criterion_06_zero_euler_parabolic_census():
 
 def _check_theorem1(max_p, bound):
     """Check Theorem 1's four-case verdict for every L(p, q) with p <= max_p
-    against its fiberings enumerated at the bound; returns the case counts."""
+    against its fiberings enumerated at the bound, read from one lens census;
+    returns the case counts."""
+    census = lens_census(max_p, bound)
+    assert list(census) == [
+        (p, q) for p in range(max_p + 1) for q in (range(p) if p else (1,)) if math.gcd(p, q) == 1
+    ]
     cases = {case: 0 for case in Theorem1Case}
-    for p in range(max_p + 1):
-        for q in range(p) if p else (1,):
-            if math.gcd(p, q) != 1:
-                continue
-            verdict = classify_lens(p, q)
-            fiberings = manifold_fiberings(p, q, bound)
-            assert fiberings, (p, q)
-            exists = [decide_hvf(f).exists for f in fiberings]
-            with_hvf = [f for f, e in zip(fiberings, exists) if e]
-            without = [f for f, e in zip(fiberings, exists) if not e]
-            if verdict.case is Theorem1Case.ALL_HAVE:
-                assert not without, (p, q)
-            elif verdict.case is Theorem1Case.NONE_HAVE:
-                assert not with_hvf, (p, q)
-            elif verdict.case is Theorem1Case.MIXED_INFINITE:
-                assert with_hvf and without, (p, q)
-            else:
-                assert len(with_hvf) == 1, (p, q)
-                assert unoriented_key(with_hvf[0]) == unoriented_key(verdict.witness)
-                assert equal(verdict.witness, SeifertInvariant(-1, ((p // 4, -1),)))
-            cases[verdict.case] += 1
+    for (p, q), fiberings in census.items():
+        verdict = classify_lens(p, q)
+        assert fiberings, (p, q)
+        exists = [decide_hvf(f).exists for f in fiberings]
+        with_hvf = [f for f, e in zip(fiberings, exists) if e]
+        without = [f for f, e in zip(fiberings, exists) if not e]
+        if verdict.case is Theorem1Case.ALL_HAVE:
+            assert not without, (p, q)
+        elif verdict.case is Theorem1Case.NONE_HAVE:
+            assert not with_hvf, (p, q)
+        elif verdict.case is Theorem1Case.MIXED_INFINITE:
+            assert with_hvf and without, (p, q)
+        else:
+            assert len(with_hvf) == 1, (p, q)
+            assert unoriented_key(with_hvf[0]) == unoriented_key(verdict.witness)
+            assert equal(verdict.witness, SeifertInvariant(-1, ((p // 4, -1),)))
+        cases[verdict.case] += 1
     assert all(cases.values()), cases
     return cases
 
@@ -419,6 +420,25 @@ def test_criterion_07_lens_classification_p80():
         7,
         "classification verified against enumerated fiberings for p <= 80 "
         f"at bound 40 ({ {c.value: n for c, n in cases.items()} }) in {elapsed:.1f}s",
+    )
+
+
+def test_criterion_07_lens_classification_p128():
+    # bound 64 is at least p/2 for every p <= 128
+    start = time.time()
+    cases = _check_theorem1(128, 64)
+    elapsed = time.time() - start
+    assert elapsed < 60
+    assert {c.value: n for c, n in cases.items()} == {
+        "all_have": 2,
+        "mixed_infinite": 252,
+        "exactly_one": 62,
+        "none_have": 4707,
+    }
+    report(
+        7,
+        "classification verified against enumerated fiberings for p <= 128 "
+        f"at bound 64 ({ {c.value: n for c, n in cases.items()} }) in {elapsed:.1f}s",
     )
 
 

@@ -235,6 +235,23 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: invariant too large (at position 5)\n"
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_quotient_degree_too_large(self, capsys, json_flag):
+        # the degree multiplies every beta, so its digits count against the
+        # description's budget: at the budget the quotient prints, past it
+        # the degree is refused before any beta grows past the limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        code, out, err = run(
+            capsys, "quotient", "M(0; (1, " + "7" * (limit // 2 - 50) + "))",
+            "9" * (limit - 300), *json_flag,
+        )
+        assert (code, out, err) == (2, "", "error: degree too large\n")
+        sevens = "7" * (limit // 2 - 3)  # with 0, 2 and the degree: the budget
+        code, out, err = run(capsys, "quotient", f"M(0; (2, {sevens}))", "-3", *json_flag)
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, "quotient", f"M(0; (2, {sevens}))", "-33", *json_flag)
+        assert (code, out, err) == (2, "", "error: degree too large\n")
+
 
 class TestOrbifoldsPerQuery:
     """The decision and the report read everything off the invariant: no

@@ -16,6 +16,7 @@ from seifert import (
     exceptional_lens_fibering,
     fibered_lens_hvf,
     homeomorphic,
+    lens_census,
     lens_cover,
     lens_from_invariant,
     manifold_fiberings,
@@ -42,6 +43,25 @@ def all_marked(max_p):
         qs = range(abs(p)) if p != 0 else (1,)
         out.extend(MarkedLens(p, q) for q in qs if math.gcd(p, q) == 1)
     return out
+
+
+def congruent_markings(p1, q1, p2, q2):
+    """Oracle for marked_equal on unreduced (p, q): equal p, and q1 - q2 or
+    q1*q2 - 1 divisible by p.  At p = 0 every marking is L(0, 1)."""
+    if p1 != p2:
+        return False
+    m = abs(p1)
+    return m == 0 or (q1 - q2) % m == 0 or (q1 * q2 - 1) % m == 0
+
+
+def congruent_manifolds(p1, q1, p2, q2):
+    """Oracle for homeomorphic (Brody) on unreduced (p, q): equal |p|, and
+    one of q1 - q2, q1 + q2, q1*q2 - 1 and q1*q2 + 1 divisible by p.  At
+    p = 0 there is one manifold."""
+    if abs(p1) != abs(p2):
+        return False
+    m = abs(p1)
+    return m == 0 or any(n % m == 0 for n in (q1 - q2, q1 + q2, q1 * q2 - 1, q1 * q2 + 1))
 
 
 class TestMarkedLensType:
@@ -183,6 +203,25 @@ class TestOrientationAndHomeomorphism:
                 assert oriented_diffeomorphic(a, b)
             if oriented_diffeomorphic(a, b):
                 assert homeomorphic(a, b)
+
+    def test_relations_match_congruences(self):
+        # every pair of marked lens spaces with |p| <= 20, each built from
+        # every unreduced q in [-2|p|, 2|p|] (q = +-1 at p = 0), against the
+        # explicit congruences; core reversal sends (p, q) to (-p, -q)
+        spaces = [
+            (p, q, MarkedLens(p, q))
+            for p in range(-20, 21)
+            for q in (range(-2 * abs(p), 2 * abs(p) + 1) if p else (-1, 1))
+            if math.gcd(p, q) == 1
+        ]
+        for p1, q1, a in spaces:
+            for p2, q2, b in spaces:
+                case = (p1, q1, p2, q2)
+                marked = congruent_markings(*case)
+                oriented = marked or congruent_markings(p1, q1, -p2, -q2)
+                assert marked_equal(a, b) == marked, case
+                assert oriented_diffeomorphic(a, b) == oriented, case
+                assert homeomorphic(a, b) == congruent_manifolds(*case), case
 
     def test_nesting_is_strict(self):
         assert oriented_diffeomorphic(MarkedLens(5, 1), MarkedLens(-5, -1))
@@ -436,7 +475,7 @@ class TestManifoldMarkings:
                 expected = {
                     (lens.p, lens.q)
                     for lens in all_marked(p)
-                    if homeomorphic(lens, MarkedLens(p, q))
+                    if congruent_manifolds(lens.p, lens.q, p, q)
                 }
                 assert set(markings) == expected
 
@@ -467,17 +506,23 @@ def _marking_union(p, q, marking_fiberings):
 class TestManifoldFiberings:
     def test_matches_marking_union(self):
         # identical lists: order, representatives and the projective-plane
-        # fibering first
+        # fibering first, both from manifold_fiberings and from the census
         for max_p, bound in ((12, 4), (16, 6)):
             # each marking's all-pairs fiberings, shared by the q of its class
             marking_fiberings = functools.cache(lambda t, b=bound: _all_pairs_fiberings(t, b))
-            for p in range(0, max_p + 1):
-                for q in range(p) if p else (1,):
-                    if math.gcd(p, q) != 1:
-                        continue
-                    assert manifold_fiberings(p, q, bound) == _marking_union(
-                        p, q, marking_fiberings
-                    ), (p, q, bound)
+            census = lens_census(max_p, bound)
+            for (p, q), fiberings in census.items():
+                expected = _marking_union(p, q, marking_fiberings)
+                assert fiberings == expected, (p, q, bound)
+                assert manifold_fiberings(p, q, bound) == expected, (p, q, bound)
+
+    @pytest.mark.parametrize("max_p, bound", [(0, 1), (1, 1), (12, 1), (20, 3)])
+    def test_census_keys_are_the_coprime_pairs(self, max_p, bound):
+        # every manifold is present, in order, also those with no fibering
+        # in range
+        assert list(lens_census(max_p, bound)) == [(0, 1)] + [
+            (p, q) for p in range(1, max_p + 1) for q in range(p) if math.gcd(p, q) == 1
+        ]
 
     @pytest.mark.parametrize("p, q", [(0, 1), (1, 0), (2, 1), (7, 2), (12, 5), (12, 1), (16, 7)])
     def test_one_walk_per_call(self, monkeypatch, p, q):
@@ -498,6 +543,37 @@ class TestManifoldFiberings:
             enumerate_lens_fiberings(MarkedLens(pp, qq), 5)
             assert calls == [(pp, 5)]
             calls.clear()
+        lens_census(p, 5)
+        assert calls == [(pp, 5) for pp in range(p + 1)]
+
+    def test_census_rejects_bad_input_before_any_walk(self, monkeypatch):
+        import seifert.lens as lens
+
+        calls = []
+        monkeypatch.setattr(lens, "_walk", lambda *args: calls.append(args))
+        for max_p, bound in ((-1, 3), (5, 0), (5, MAX_ENUMERATION_BOUND + 1)):
+            with pytest.raises(ValueError):
+                lens_census(max_p, bound)
+        assert calls == []
+
+    def test_no_marked_lens_per_key(self, monkeypatch):
+        # the relations run on integers: the enumerator builds no MarkedLens,
+        # and the census at most the projective-plane lens once per p
+        targets = [MarkedLens(pp, qq) for pp, qq in manifold_markings(12, 5)]
+        builds = []
+        init = MarkedLens.__init__
+
+        def counting_init(self, *args):
+            builds.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(MarkedLens, "__init__", counting_init)
+        for target in targets:
+            assert enumerate_lens_fiberings(target, 6)
+            assert builds == []
+        census = lens_census(16, 6)
+        assert sum(map(len, census.values())) > 300
+        assert len(builds) <= 16 + 1
 
     def test_projective_plane_fibering(self):
         # L(12, q) carries it for q = 6 +- 1 only
