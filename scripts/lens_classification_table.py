@@ -16,9 +16,13 @@ def main():
     args = parser.parse_args()
 
     print(f"{'L(p,q)':>8}  {'verdict':<15} {'with':>5} {'without':>8}  witness")
+    decided = {}  # one decision per fibering: the markings of a manifold share theirs
     for (p, q), fiberings in lens_census(args.max_p, args.bound).items():
         verdict = classify_lens(p, q)
-        with_hvf = sum(decide_hvf(f).exists for f in fiberings)
+        for f in fiberings:
+            if f not in decided:
+                decided[f] = decide_hvf(f).exists
+        with_hvf = sum(decided[f] for f in fiberings)
         witness = print_invariant(verdict.witness) if verdict.witness else ""
         print(
             f"L({p},{q})".rjust(8)

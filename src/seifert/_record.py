@@ -6,10 +6,13 @@ from operator import attrgetter
 class Record:
     """An immutable value whose fields are the names in its ``__slots__``.
 
-    A subclass lists its fields in ``__slots__`` and sets each one in its own
-    ``__init__`` with ``object.__setattr__``.  Records of the same class
-    compare and hash as the tuple of their fields; records of different
-    classes are never equal.  A record class is not subclassed further.
+    A subclass lists its fields in ``__slots__`` and the defaults of its
+    trailing fields in a ``_defaults`` mapping.  Unless it writes its own
+    ``__init__``, which it does only to convert or check its arguments, it
+    gets one that takes each field, in slot order, and stores it.  Records of
+    the same class compare and hash as the tuple of their fields; records of
+    different classes are never equal.  A record class is not subclassed
+    further.
     """
 
     __slots__ = ()
@@ -25,6 +28,8 @@ class Record:
             cls._values = lambda record: (one(record),)
         else:
             cls._values = lambda record: ()
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _constructor(cls)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -48,6 +53,28 @@ class Record:
 
     def __reduce__(self):
         return self.__class__, self.__class__._values(self)
+
+
+def _constructor(cls):
+    """The ``__init__`` that stores each field of ``cls``, in slot order.
+
+    It is compiled from source, as ``dataclasses`` and ``namedtuple`` build
+    theirs, so that importing the library does not import ``dataclasses``.
+    The source holds only the slot names, which are identifiers.
+    """
+    names = cls.__slots__
+    defaults = cls.__dict__.get("_defaults", {})
+    if set(defaults) != set(names[len(names) - len(defaults):]):
+        raise TypeError(f"{cls.__qualname__}: only the last fields may have defaults")
+    params = ", ".join(("self",) + names)
+    body = "".join(f"\n    setattr(self, {name!r}, {name})" for name in names) or " pass"
+    namespace = {}
+    exec(f"def __init__({params}):{body}", {"setattr": object.__setattr__}, namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(defaults[name] for name in names if name in defaults) or None
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init
 
 
 def integral(value, what: str) -> int:

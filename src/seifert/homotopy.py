@@ -41,11 +41,6 @@ class ComponentCatalog(Record):
     cohomology_rank: int
     unique_up_to_homotopy: bool
 
-    def __init__(self, degrees, cohomology_rank, unique_up_to_homotopy):
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "cohomology_rank", cohomology_rank)
-        object.__setattr__(self, "unique_up_to_homotopy", unique_up_to_homotopy)
-
 
 def homotopy_components(inv: SeifertInvariant) -> ComponentCatalog:
     """Catalog the homotopy classes of horizontal vector fields.

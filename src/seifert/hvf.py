@@ -60,9 +60,7 @@ class EmptyDegrees(Record):
 
     __slots__ = ("include_zero",)
     include_zero: bool
-
-    def __init__(self, include_zero=False):
-        object.__setattr__(self, "include_zero", include_zero)
+    _defaults = {"include_zero": False}
 
     def contains(self, d: int) -> bool:
         return d == 0 and self.include_zero
@@ -76,9 +74,6 @@ class SingleDegree(Record):
 
     __slots__ = ("d",)
     d: int
-
-    def __init__(self, d):
-        object.__setattr__(self, "d", d)
 
     def contains(self, d: int) -> bool:
         return d == self.d
@@ -94,11 +89,7 @@ class DegreeProgression(Record):
     residue: int
     modulus: int
     include_zero: bool
-
-    def __init__(self, residue, modulus, include_zero=False):
-        object.__setattr__(self, "residue", residue)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "include_zero", include_zero)
+    _defaults = {"include_zero": False}
 
     def contains(self, d: int) -> bool:
         if d == 0:
@@ -126,10 +117,6 @@ class Covering(Record):
     degrees: DegreeSet
     target: SeifertInvariant
 
-    def __init__(self, degrees, target):
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "target", target)
-
 
 class CongruenceClash(Record):
     """Exceptional fibers ``i`` and ``j`` impose incompatible degree congruences."""
@@ -137,10 +124,6 @@ class CongruenceClash(Record):
     __slots__ = ("i", "j")
     i: int
     j: int
-
-    def __init__(self, i, j):
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
 
 
 class EulerMismatch(Record):
@@ -155,11 +138,6 @@ class EulerMismatch(Record):
     chi: Fraction
     pin: int | None
 
-    def __init__(self, euler, chi, pin):
-        object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "pin", pin)
-
 
 class HvfDecision(Record):
     """Verdict plus the mechanisms that realize it; when no horizontal vector
@@ -169,11 +147,6 @@ class HvfDecision(Record):
     exists: bool
     mechanisms: tuple
     obstruction: CongruenceClash | EulerMismatch | None
-
-    def __init__(self, exists, mechanisms, obstruction):
-        object.__setattr__(self, "exists", exists)
-        object.__setattr__(self, "mechanisms", mechanisms)
-        object.__setattr__(self, "obstruction", obstruction)
 
 
 def _merge_congruences(pairs):

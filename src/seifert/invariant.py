@@ -93,12 +93,6 @@ class CanonicalForm(Record):
     pairs: tuple[tuple[int, int], ...]
     b: int | None
 
-    def __init__(self, genus_code, boundary_count, pairs, b):
-        object.__setattr__(self, "genus_code", genus_code)
-        object.__setattr__(self, "boundary_count", boundary_count)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "b", b)
-
     def invariant(self) -> SeifertInvariant:
         """A representative SeifertInvariant, the ``(1, b)`` pair first."""
         pairs = self.pairs
@@ -198,11 +192,6 @@ class AlternateFibering(Record):
     kind: str  # "lens_dual", "klein_ut", or "lens_family"
     invariant: SeifertInvariant | None
     note: str
-
-    def __init__(self, kind, invariant, note):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "invariant", invariant)
-        object.__setattr__(self, "note", note)
 
 
 def _sign(x: int) -> int:

@@ -191,10 +191,7 @@ class LensClassification(Record):
     __slots__ = ("case", "witness")
     case: Theorem1Case
     witness: SeifertInvariant | None
-
-    def __init__(self, case, witness=None):
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "witness", witness)
+    _defaults = {"witness": None}
 
 
 def classify_lens(p: int, q: int) -> LensClassification:
@@ -208,16 +205,21 @@ def classify_lens(p: int, q: int) -> LensClassification:
         the fibering over the projective plane with one cone point of order
         p/4 (returned as the witness);
       * otherwise (including p = 0): none do.
+
+    The middle cases are homeomorphism classes, compared by
+    ``_manifold_key``: the class of L(p, 1), and the class of the lens that
+    ``exceptional_lens_fibering(p // 4)`` lives on.
     """
     _check_manifold(p, q)
     if p in (1, 2):
         return LensClassification(Theorem1Case.ALL_HAVE)
-    if p >= 3 and (q % p in (1, p - 1)):
+    key = _manifold_key(p, q)
+    if p >= 3 and key == _manifold_key(p, 1):
         return LensClassification(Theorem1Case.MIXED_INFINITE)
-    if p >= 8 and p % 4 == 0 and q % p in (p // 2 + 1, p // 2 - 1):
-        # disjoint from the previous case: p/2 +- 1 = +-1 (mod p) only for p = 4
-        assert q % p not in (1, p - 1)
-        return LensClassification(Theorem1Case.EXACTLY_ONE, exceptional_lens_fibering(p // 4)[0])
+    if p >= 8 and p % 4 == 0:
+        witness, lens = exceptional_lens_fibering(p // 4)
+        if key == _manifold_key(p, lens.q):
+            return LensClassification(Theorem1Case.EXACTLY_ONE, witness)
     return LensClassification(Theorem1Case.NONE_HAVE)
 
 

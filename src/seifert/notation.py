@@ -79,11 +79,17 @@ _CONE_TOKEN = re.compile(r"[0-9]+\Z")
 _BOUNDARY_TOKEN = re.compile(r"b([0-9]+)\Z")
 
 
+def _int_digit_limit() -> int:
+    """Python's limit on the digits of an integer converted from a string,
+    or 0 when there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _digit_budget() -> int:
     """The digits that the integer literals of one description may have
     together: half Python's limit on integer string conversion, or 2,150
     when there is none."""
-    return (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) // 2
+    return (_int_digit_limit() or 4300) // 2
 
 
 class _Literals:
@@ -93,20 +99,22 @@ class _Literals:
     stays printable."""
 
     def __init__(self, what: str):
+        self.limit = _int_digit_limit()
         self.left = _digit_budget()
         self.what = what
 
     def read(self, digits: str, pos: int) -> int:
         """``int(digits)`` for a literal that starts at ``pos``, or a
-        positioned ParseError past Python's limit or past the budget."""
-        try:
-            value = int(digits)
-        except ValueError:
-            raise ParseError("integer literal too long", pos) from None
-        self.left -= len(digits) - digits.startswith("-")
+        positioned ParseError past Python's limit or past the budget.  The
+        digits are counted before any is converted, since converting takes
+        time quadratic in their number."""
+        n = len(digits) - digits.startswith("-")
+        if self.limit and n > self.limit:
+            raise ParseError("integer literal too long", pos)
+        self.left -= n
         if self.left < 0:
             raise ParseError(f"{self.what} too large", pos)
-        return value
+        return int(digits)
 
 
 def parse_orbifold(text: str) -> "orb_mod.Orbifold":

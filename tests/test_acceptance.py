@@ -313,17 +313,21 @@ def test_criterion_06_zero_euler_parabolic_census():
 
 def _check_theorem1(max_p, bound):
     """Check Theorem 1's four-case verdict for every L(p, q) with p <= max_p
-    against its fiberings enumerated at the bound, read from one lens census;
-    returns the case counts."""
+    against its fiberings enumerated at the bound, read from one lens census
+    and each decided once; returns the case counts."""
     census = lens_census(max_p, bound)
     assert list(census) == [
         (p, q) for p in range(max_p + 1) for q in (range(p) if p else (1,)) if math.gcd(p, q) == 1
     ]
     cases = {case: 0 for case in Theorem1Case}
+    decided = {}  # one decision per fibering: the markings of a manifold share theirs
     for (p, q), fiberings in census.items():
         verdict = classify_lens(p, q)
         assert fiberings, (p, q)
-        exists = [decide_hvf(f).exists for f in fiberings]
+        for f in fiberings:
+            if f not in decided:
+                decided[f] = decide_hvf(f).exists
+        exists = [decided[f] for f in fiberings]
         with_hvf = [f for f, e in zip(fiberings, exists) if e]
         without = [f for f, e in zip(fiberings, exists) if not e]
         if verdict.case is Theorem1Case.ALL_HAVE:

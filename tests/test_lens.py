@@ -64,6 +64,20 @@ def congruent_manifolds(p1, q1, p2, q2):
     return m == 0 or any(n % m == 0 for n in (q1 - q2, q1 + q2, q1 * q2 - 1, q1 * q2 + 1))
 
 
+def theorem1_case(p, q):
+    """Oracle for classify_lens on unreduced q: Theorem 1's four cases
+    stated in residues mod p."""
+    if p in (1, 2):
+        return Theorem1Case.ALL_HAVE
+    if p >= 3 and q % p in (1, p - 1):
+        return Theorem1Case.MIXED_INFINITE
+    if p >= 8 and p % 4 == 0 and q % p in (p // 2 + 1, p // 2 - 1):
+        # disjoint from the previous case: p/2 +- 1 = +-1 (mod p) only for p = 4
+        assert q % p not in (1, p - 1)
+        return Theorem1Case.EXACTLY_ONE
+    return Theorem1Case.NONE_HAVE
+
+
 class TestMarkedLensType:
     def test_q_canonicalized(self):
         assert MarkedLens(-2, -1) == MarkedLens(-2, 1)
@@ -320,6 +334,13 @@ class TestClassifyLens:
                     assert p >= 8 and p % 4 == 0
                     assert q % p in (p // 2 + 1, p // 2 - 1)
                     assert q % p not in (1, p - 1)
+
+    def test_matches_residue_statement(self):
+        # every q coprime to p in [-2p, 2p], unreduced (+-1 at p = 0)
+        for p in range(201):
+            for q in range(-2 * p, 2 * p + 1) if p else (-1, 1):
+                if math.gcd(p, q) == 1:
+                    assert classify_lens(p, q).case is theorem1_case(p, q), (p, q)
 
 
 class TestExceptionalFibering:

@@ -22,8 +22,28 @@ from seifert import (
     print_orbifold,
     sphere,
 )
+from seifert import notation
 from seifert.errors import NotCoprime, ParseError
 from seifert.notation import rational_str
+
+
+@pytest.fixture
+def conversions_without_limit(monkeypatch):
+    """Turn Python's limit on integer string conversion off for one test,
+    and record the length of every string that notation converts to int."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no limit on integer string conversion to turn off")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    lengths = []
+
+    def counting_int(text):
+        lengths.append(len(text))
+        return int(text)
+
+    monkeypatch.setattr(notation, "int", counting_int, raising=False)
+    yield lengths
+    sys.set_int_max_str_digits(limit)
 
 
 class TestParseOrbifold:
@@ -110,6 +130,13 @@ class TestParseOrbifold:
         with pytest.raises(ParseError) as exc:
             parse_orbifold(f"{first} {second} b10 x")
         assert str(exc.value) == f"orbifold too large (at position {len(first) + len(second) + 2})"
+
+    def test_over_budget_literal_not_converted(self, conversions_without_limit):
+        # with no limit, converting a million digits would take seconds
+        with pytest.raises(ParseError) as exc:
+            parse_orbifold("2 " + "7" * 10**6)
+        assert str(exc.value) == "orbifold too large (at position 2)"
+        assert conversions_without_limit == [1]
 
 
 class TestPrintOrbifold:
@@ -198,6 +225,12 @@ class TestParseInvariant:
         with pytest.raises(ParseError) as exc:
             parse_invariant(text.replace(",1))", ",11))"))
         assert str(exc.value) == f"invariant too large (at position {text.index(',1))') + 1})"
+
+    def test_over_budget_literal_not_converted(self, conversions_without_limit):
+        with pytest.raises(ParseError) as exc:
+            parse_invariant("M(0; (1," + "7" * 10**6 + "))")
+        assert str(exc.value) == "invariant too large (at position 8)"
+        assert conversions_without_limit == [1, 1]
 
 
 class TestPrintInvariant:

@@ -31,7 +31,31 @@ from seifert import (
     decide_hvf,
     normalize,
 )
+from seifert._record import Record
 from seifert.errors import NotCoprime
+
+
+class Pair(Record):
+    """A test record whose constructor Record writes, with one default."""
+
+    __slots__ = ("left", "right")
+    _defaults = {"right": 0}
+
+
+class Unit(Record):
+    """A test record with no fields."""
+
+    __slots__ = ()
+
+
+class Checked(Record):
+    """A test record that writes its own constructor."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n):
+        object.__setattr__(self, "n", int(n))
+
 
 # (record, literal repr, field names, a record of the same type that differs)
 CASES = [
@@ -330,3 +354,56 @@ class TestPatterns:
         assert kind(EmptyDegrees(True)) == ("empty", True)
         assert kind(SingleDegree(-4)) == ("single", -4)
         assert kind(DegreeProgression(2, 5)) == ("progression", 2, 5, False)
+
+
+class TestGeneratedConstructor:
+    def test_positional_keyword_and_default(self):
+        record = Pair(1, 2)
+        assert (record.left, record.right) == (1, 2)
+        assert Pair(left=1, right=2) == record == Pair(1, right=2)
+        assert Pair(1) == Pair(1, 0) == Pair(left=1)
+        assert repr(Pair(1)) == "Pair(left=1, right=0)"
+        assert Unit() == Unit() and repr(Unit()) == "Unit()"
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Pair(),
+            lambda: Pair(right=2),
+            lambda: Pair(1, 2, 3),
+            lambda: Pair(1, left=1),
+            lambda: Pair(1, up=2),
+            lambda: Unit(1),
+            lambda: Unit(left=1),
+        ],
+        ids=["missing", "missing-keyword", "extra", "twice", "unknown", "unit-extra", "unit-unknown"],
+    )
+    def test_bad_arguments(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_pickle(self):
+        for record in (Pair(1, 2), Pair(3), Unit()):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(record, protocol))
+                assert type(back) is type(record) and back == record
+
+    def test_match_args(self):
+        assert Pair.__match_args__ == ("left", "right")
+        assert Unit.__match_args__ == ()
+        match Pair(1, 2):
+            case Pair(left, right):
+                found = (left, right)
+        assert found == (1, 2)
+
+    def test_written_constructor_is_kept(self):
+        # a generated constructor would store the Fraction unconverted
+        record = Checked(Fraction(6, 2))
+        assert record.n == 3 and type(record.n) is int
+
+    def test_defaults_only_on_the_last_fields(self):
+        with pytest.raises(TypeError, match="only the last fields may have defaults"):
+
+            class Bad(Record):
+                __slots__ = ("left", "right")
+                _defaults = {"left": 0}
