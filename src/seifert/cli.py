@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .errors import NoHvf, SeifertError
@@ -28,6 +29,7 @@ from .lens import (
 )
 from .notation import (
     _digit_budget,
+    _int_digit_limit,
     catalog_json,
     degree_set_str,
     invariant_report,
@@ -170,18 +172,35 @@ def _cmd_hvf(args) -> int:
     return _emit(args, report, lines)
 
 
+# The texts ``int`` converts in base 10: Unicode digits, one underscore
+# between two of them, and around them the spaces of str.isspace but for
+# U+001C..U+001F.  Compiled by ``re`` on first use, so only quotient pays.
+_INT_TEXT = r"[^\S\x1c-\x1f]*[+-]?(\d+(?:_\d+)*)[^\S\x1c-\x1f]*"
+
+
+def _int_text(text: str) -> str:
+    """An int argument left unconverted, so that its digits can be counted
+    before it is converted: a text that ``int`` refuses, with more digits
+    than Python's limit too, gets argparse's message for an int."""
+    m = re.fullmatch(_INT_TEXT, text)
+    if m is None or 0 < _int_digit_limit() < len(m.group(1)) - m.group(1).count("_"):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return text
+
+
 def _cmd_quotient(args) -> int:
     inv = parse_invariant(args.invariant)
     # the degree multiplies every beta, so its digits count against the
     # budget of the description's literals (which hold all its digits), and
-    # the quotient stays printable
-    digits = sum(c.isdigit() for c in args.invariant) + len(str(abs(args.degree)))
+    # the quotient stays printable; they are counted before it is converted
+    digits = sum(c.isdigit() for c in args.invariant) + sum(map(str.isdecimal, args.degree))
     if digits > _digit_budget():
         raise ValueError("degree too large")
-    result = fiberwise_quotient(inv, args.degree)
+    degree = int(args.degree)
+    result = fiberwise_quotient(inv, degree)
     payload = {
         "input": args.invariant,
-        "degree": args.degree,
+        "degree": degree,
         "invariant": print_invariant(result),
     }
     return _emit(args, payload, [payload["invariant"]])
@@ -336,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("invariant")
     p = add("quotient", _cmd_quotient, "fiberwise quotient by a degree")
     p.add_argument("invariant")
-    p.add_argument("degree", type=int)
+    p.add_argument("degree", type=_int_text)
     p = add("lens", _cmd_lens, "marked lens space of a two-fiber invariant")
     p.add_argument("invariant")
     p = add("lens-classify", _cmd_lens_classify, "how many fiberings of L(p,q) have one")

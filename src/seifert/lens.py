@@ -93,9 +93,13 @@ def lens_from_invariant(inv: SeifertInvariant) -> MarkedLens:
     than ``_lens_pq``'s changes ``q`` by a multiple of ``p``, which
     MarkedLens reduces away.
     """
-    if not inv.closed or inv.genus_code != 0:
+    return _lens(normalize(inv))
+
+
+def _lens(cf: CanonicalForm) -> MarkedLens:
+    """``lens_from_invariant`` of the invariant with canonical form ``cf``."""
+    if cf.boundary_count or cf.genus_code != 0:
         raise NotALensForm("need a closed genus-zero invariant")
-    cf = normalize(inv)
     if len(cf.pairs) > 2:
         raise NotALensForm("more than two exceptional fibers")
     pairs = list(cf.pairs) + [(1, 0)] * (2 - len(cf.pairs))
@@ -336,18 +340,29 @@ def _up_to_reversal(key):
     return min(key, (tuple(sorted((a, a - r) for a, r in pairs)), -b - len(pairs)))
 
 
-def _manifolds(p: int, bound: int) -> dict[int, list[SeifertInvariant]]:
-    """The walk at ``p >= 0`` filed by ``_manifold_key``, each manifold in the
-    order of ``manifold_fiberings``.  Reversal sends ``p`` to ``-p``, so the walk
-    meets each fibering of ``L(p, *)`` once; at ``p = 0`` each is its own reversal."""
+def _manifolds(p: int, bound: int) -> dict[int, list]:
+    """The walk at ``p >= 0`` filed by ``_manifold_key``: each manifold's
+    canonical ``(pairs, b)`` keys in the order of ``manifold_fiberings``, with
+    None first where the manifold has the projective-plane fibering.
+    Reversal sends ``p`` to ``-p``, so the walk meets each fibering of
+    ``L(p, *)`` once; at ``p = 0`` each is its own reversal.  Only
+    ``_fiberings`` builds invariants, one group at a time."""
     out, walk = {}, _walk(p, bound)
     for key in sorted(walk, key=_up_to_reversal):
-        fibering = CanonicalForm(0, 0, *key).invariant()
-        out.setdefault(_manifold_key(p, walk[key]), []).append(fibering)
+        out.setdefault(_manifold_key(p, walk[key]), []).append(key)
     if p > 0 and p % 4 == 0:
-        fibering, lens = exceptional_lens_fibering(p // 4)
-        out.setdefault(_manifold_key(p, lens.q), []).insert(0, fibering)
+        # L(p, p/2 + 1), the lens of exceptional_lens_fibering(p // 4)
+        out.setdefault(_manifold_key(p, p // 2 + 1), []).insert(0, None)
     return out
+
+
+def _fiberings(p: int, keys) -> list[SeifertInvariant]:
+    """The invariants of one group of ``_manifolds(p, bound)``."""
+    return [
+        exceptional_lens_fibering(p // 4)[0] if key is None
+        else CanonicalForm(0, 0, *key).invariant()
+        for key in keys
+    ]
 
 
 def manifold_fiberings(p: int, q: int, bound: int) -> list[SeifertInvariant]:
@@ -355,9 +370,10 @@ def manifold_fiberings(p: int, q: int, bound: int) -> list[SeifertInvariant]:
     up to isomorphism that may reverse orientation, for ``p >= 0`` and ``q``
     coprime to ``p``: the projective-plane fibering first when the manifold
     has it, then the two-fiber ones sorted by the smaller of each key and
-    its reversal's.  One group of ``_manifolds(p, bound)``."""
+    its reversal's.  One group of ``_manifolds(p, bound)``, and only its
+    invariants are built."""
     _check_manifold(p, q)
-    return _manifolds(p, bound).get(_manifold_key(p, q), [])
+    return _fiberings(p, _manifolds(p, bound).get(_manifold_key(p, q), ()))
 
 
 def lens_census(max_p: int, bound: int) -> dict[tuple[int, int], list[SeifertInvariant]]:
@@ -369,8 +385,8 @@ def lens_census(max_p: int, bound: int) -> dict[tuple[int, int], list[SeifertInv
     _check_bound(bound)
     census = {}
     for p in range(max_p + 1):
-        manifolds = _manifolds(p, bound)
+        groups = {key: _fiberings(p, keys) for key, keys in _manifolds(p, bound).items()}
         for q in range(p) if p else (1,):
             if math.gcd(p, q) == 1:
-                census[p, q] = list(manifolds.get(_manifold_key(p, q), ()))
+                census[p, q] = list(groups.get(_manifold_key(p, q), ()))
     return census

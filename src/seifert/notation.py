@@ -19,9 +19,14 @@ Invariant grammar:
     M(g; (a1,b1), (a2,b2), ...)        closed, genus code g
     M(g, n; (a1,b1), ...)              n boundary circles
 
-The leading ``M`` is optional on input.  Printing always emits the canonical
-form: betas reduced into [0, alpha), pairs sorted, and (for closed
-invariants) the accumulated integer pair ``(1, b)`` first when b != 0.
+The leading ``M`` is optional on input, and ASCII whitespace may stand
+around any token.  One compiled pattern, ``_WELL_FORMED``, is the language
+accepted: a text it matches, whose literals fit the digit budget, with
+every alpha >= 1 and boundary >= 0, is read from the pattern's match.  Any
+other text goes to ``_scan_invariant``, the reference parser, which writes
+every positioned ParseError.  Printing always emits the canonical form:
+betas reduced into [0, alpha), pairs sorted, and (for closed invariants)
+the accumulated integer pair ``(1, b)`` first when b != 0.
 
 The JSON report schema is documented in the README; its field names are a
 frozen contract.  The report reads its base orbifold, geometry, Euler number
@@ -49,8 +54,8 @@ from .hvf import (
     decide_hvf_boundary,
 )
 from .homotopy import ComponentCatalog, _catalog
-from .invariant import SeifertInvariant, _fold, normalize
-from .lens import MarkedLens, fibered_lens_hvf, lens_from_invariant
+from .invariant import CanonicalForm, SeifertInvariant, _fold, normalize
+from .lens import MarkedLens, _lens, fibered_lens_hvf
 from . import orbifold as orb_mod
 
 __all__ = [
@@ -169,10 +174,21 @@ def print_orbifold(orb) -> str:
 
 # ---------------------------------------------------------------- invariants
 
+_W = r"\s*"  # under re.ASCII, \s is exactly _SPACE
+_INTEGER = "-?[0-9]+"
+_PAIR = rf"\({_W}{_INTEGER}{_W},{_W}{_INTEGER}{_W}\)"
+# No two unbounded repeats that can match the same character stand next to
+# each other (hence "(?:M{_W})?", not "M?{_W}"), so a refusal backtracks in
+# time linear in the text.
+_WELL_FORMED = re.compile(
+    rf"{_W}(?:M{_W})?\({_W}{_INTEGER}{_W}(?P<boundary>,{_W}{_INTEGER}{_W})?;"
+    rf"{_W}(?:{_PAIR}(?:{_W},{_W}{_PAIR})*{_W})?\){_W}",
+    re.ASCII,
+)
+_LITERAL = re.compile(_INTEGER)
+
 
 class _Scanner:
-    _INT = re.compile(r"-?[0-9]+")
-
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -194,7 +210,7 @@ class _Scanner:
 
     def integer(self) -> int:
         self._skip_space()
-        m = self._INT.match(self.text, self.pos)
+        m = _LITERAL.match(self.text, self.pos)
         if not m:
             raise ParseError("expected an integer", self.pos)
         self.pos = m.end()
@@ -210,8 +226,29 @@ def parse_invariant(text: str) -> SeifertInvariant:
     """Parse ``M(g; (a,b), ...)`` or ``M(g, n; ...)``; the M is optional.
 
     Structural problems raise ParseError with a position; a pair with
-    gcd(a, b) > 1 raises NotCoprime with the pair's index.
+    gcd(a, b) > 1 raises NotCoprime with the pair's index.  A text that
+    ``_WELL_FORMED`` matches and that passes the scanner's checks on the
+    values is read from the match; any other goes to the scanner.
     """
+    # Every digit of a matched text is a literal's, and no text has more
+    # digits than characters, so only a longer one is counted: one over the
+    # budget goes to the scanner unmatched.  The budget is at most half
+    # Python's limit, so each literal is within the limit too.
+    budget = _digit_budget()
+    if len(text) <= budget or sum(map(text.count, "0123456789")) <= budget:
+        m = _WELL_FORMED.fullmatch(text)
+        if m is not None:
+            genus_code, *values = map(int, _LITERAL.findall(text))
+            boundary = values.pop(0) if m["boundary"] else 0
+            alphas = values[::2]
+            if boundary >= 0 and min(alphas, default=1) >= 1:
+                return SeifertInvariant(genus_code, tuple(zip(alphas, values[1::2])), boundary)
+    return _scan_invariant(text)
+
+
+def _scan_invariant(text: str) -> SeifertInvariant:
+    """``parse_invariant`` by one scan of the text: the reference parser, and
+    the only one that raises a ParseError."""
     s = _Scanner(text)
     if s.peek() == "M":
         s.pos += 1
@@ -243,14 +280,24 @@ def parse_invariant(text: str) -> SeifertInvariant:
     return SeifertInvariant(genus_code, tuple(pairs), boundary)
 
 
-def print_invariant(inv: SeifertInvariant) -> str:
-    """Canonical notation for the fibering (normalizes first)."""
-    cf = normalize(inv)
-    head = f"M({cf.genus_code};" if inv.closed else f"M({cf.genus_code}, {cf.boundary_count};"
-    pairs = ((1, cf.b),) + cf.pairs if cf.b else cf.pairs
+def _invariant_text(genus_code: int, boundary_count: int, pairs) -> str:
+    """Notation of the invariant with these fields, its pairs as given: the
+    one printer of canonical pair lists."""
+    head = f"M({genus_code}, {boundary_count};" if boundary_count else f"M({genus_code};"
     if not pairs:
         return head + ")"
     return head + " " + ", ".join(f"({a},{b})" for a, b in pairs) + ")"
+
+
+def _canonical_text(cf: CanonicalForm) -> str:
+    """Notation of a canonical form, the integer pair ``(1, b)`` first."""
+    pairs = ((1, cf.b),) + cf.pairs if cf.b else cf.pairs
+    return _invariant_text(cf.genus_code, cf.boundary_count, pairs)
+
+
+def print_invariant(inv: SeifertInvariant) -> str:
+    """Canonical notation for the fibering (normalizes first)."""
+    return _canonical_text(normalize(inv))
 
 
 # ------------------------------------------------------------------- reports
@@ -310,12 +357,16 @@ def _obstruction_json(obs) -> dict | None:
 
 def decision_json(decision: HvfDecision) -> dict:
     """The decision's JSON form; the covering's degrees and target, rendered
-    once, also stand at the top level (empty and null without a covering)."""
+    once, also stand at the top level (empty and null without a covering).
+    The target is printed from its pairs as they stand: the decision builds
+    it canonical."""
     mechanisms = []
     degrees, target = degree_set_json(EmptyDegrees()), None
     for mech in decision.mechanisms:
         if isinstance(mech, Covering):
-            degrees, target = degree_set_json(mech.degrees), print_invariant(mech.target)
+            t = mech.target
+            degrees = degree_set_json(mech.degrees)
+            target = _invariant_text(t.genus_code, t.boundary_count, t.pairs)
             mechanisms.append({"kind": "covering", "degrees": degrees, "target": target})
         else:
             mechanisms.append({"kind": "surface_section"})
@@ -348,8 +399,10 @@ def invariant_report(text: str, inv: SeifertInvariant) -> dict:
     sections.  Bounded invariants have null geometry and euler_number.  The
     base orbifold's fields are those ``base_orbifold`` reads off the
     invariant, and e and chi come from one fold over the product of the
-    alphas.
+    alphas.  The one canonical form serves the normalized invariant and the
+    lens section.
     """
+    cf = normalize(inv)
     orientable, genus, cones, boundary = orb_mod._base_fields(inv)
     eb, x, p = _fold(inv)
     if inv.closed:
@@ -362,7 +415,7 @@ def invariant_report(text: str, inv: SeifertInvariant) -> dict:
         decision = decide_hvf_boundary(inv)
     report = {
         "input": text,
-        "normalized_invariant": print_invariant(inv),
+        "normalized_invariant": _canonical_text(cf),
         "base_orbifold": _orbifold_text(orientable, genus, cones, boundary),
         "geometry": geometry,
         "euler_number": euler,
@@ -371,7 +424,7 @@ def invariant_report(text: str, inv: SeifertInvariant) -> dict:
     }
     if inv.closed:
         try:
-            report["lens"] = lens_json(lens_from_invariant(inv))
+            report["lens"] = lens_json(_lens(cf))
         except NotALensForm:
             pass
         if inv.genus_code >= 0 and decision.exists:

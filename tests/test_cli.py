@@ -252,6 +252,52 @@ class TestExitCodes:
         code, out, err = run(capsys, "quotient", f"M(0; (2, {sevens}))", "-33", *json_flag)
         assert (code, out, err) == (2, "", "error: degree too large\n")
 
+    def test_quotient_degree_syntax_matches_int(self, capsys):
+        # the degree stays text until its digits are counted; a text that int
+        # refuses, or one past Python's limit, gets argparse's message
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        texts = ["3", " +0_3 ", "-1", "\u0663", "\uff13", "\u30003\u2028", "\x853", "1__3",
+                 "_3", "3_", "+-3", "- 3", "", " ", "3.0", "0x3", "\u00b3", "\x1c3", "3\x1f"]
+        texts += ["1" * limit, "1" * (limit + 1), "1_" * limit + "1"] if limit else []
+        for text in texts:
+            try:
+                int(text)
+            except ValueError:
+                with pytest.raises(SystemExit) as exc:
+                    main(["quotient", "M(0; (2,1))", text])
+                assert exc.value.code == 2
+                err = capsys.readouterr().err
+                assert err.endswith(f"error: argument degree: invalid int value: {text!r}\n")
+            else:
+                code, out, err = run(capsys, "quotient", "M(0; (2,1))", text, "--json")
+                assert "argument degree" not in err, text
+                assert code == 2 or json.loads(out)["degree"] == int(text), text
+
+    def test_over_budget_degree_not_converted(self, capsys, monkeypatch):
+        # with no limit, converting a million digits would take seconds: the
+        # parser leaves the degree as text and the handler counts it first
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("no limit on integer string conversion to turn off")
+        import seifert.cli as cli
+
+        converted = []
+
+        def counting_int(text):
+            converted.append(len(text))
+            return int(text)
+
+        monkeypatch.setattr(cli, "int", counting_int, raising=False)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        cli._build_parser.cache_clear()  # so that a parser's int is counted too
+        try:
+            code, out, err = run(capsys, "quotient", "M(0; (2,1))", "7" * 10**6)
+        finally:
+            sys.set_int_max_str_digits(limit)
+            cli._build_parser.cache_clear()
+        assert (code, out, err) == (2, "", "error: degree too large\n")
+        assert converted == []
+
 
 class TestOrbifoldsPerQuery:
     """The decision and the report read everything off the invariant: no

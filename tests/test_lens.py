@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import inv, unoriented_key
 from seifert import (
     MarkedLens,
+    SeifertInvariant,
     Theorem1Case,
     classify_lens,
     decide_hvf,
@@ -566,6 +567,24 @@ class TestManifoldFiberings:
             calls.clear()
         lens_census(p, 5)
         assert calls == [(pp, 5) for pp in range(p + 1)]
+
+    def test_builds_only_its_manifolds_invariants(self, monkeypatch):
+        built = []
+        init = SeifertInvariant.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SeifertInvariant, "__init__", counting_init)
+        genera = set()
+        for q in range(1, 64, 2):
+            built.clear()
+            fiberings = manifold_fiberings(64, q, 32)
+            assert len(built) == len(fiberings), q
+            genera.update(f.genus_code for f in fiberings)
+        # the projective-plane fibering of L(64, 33) is among them
+        assert genera == {0, -1}
 
     def test_census_rejects_bad_input_before_any_walk(self, monkeypatch):
         import seifert.lens as lens

@@ -1,10 +1,13 @@
 import math
+import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import bounded_invariants, closed_invariants
+from test_cli import MALFORMATIONS, fuzz_invariant
 from seifert import (
     Orbifold,
     SeifertInvariant,
@@ -24,6 +27,7 @@ from seifert import (
 )
 from seifert import notation
 from seifert.errors import NotCoprime, ParseError
+from seifert.hvf import Covering, decide_hvf, decide_hvf_boundary
 from seifert.notation import rational_str
 
 
@@ -233,6 +237,105 @@ class TestParseInvariant:
         assert conversions_without_limit == [1, 1]
 
 
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: the invariant, or the exception's
+    type, message, position and pair index."""
+    try:
+        return parse(text)
+    except (ParseError, NotCoprime) as err:
+        return type(err), str(err), getattr(err, "position", None), getattr(err, "index", None)
+
+
+def _report_stream_text(rng):
+    """Invariant text with a run of ASCII whitespace, or none, between any
+    two tokens, alpha and boundary sometimes out of range, and malformed
+    three times in ten."""
+
+    def space():
+        return rng.choice(["", "", " ", "  ", "\t", "\n ", " \r\f\v"])
+
+    genus = rng.randint(-3, 3)
+    boundary = rng.choice([0, 0, 0, 1, 2, -1])
+    pairs = [(rng.randint(-1, 60), rng.randint(-240, 240)) for _ in range(rng.randint(0, 5))]
+    body = f"{space()},{space()}".join(
+        f"({space()}{a}{space()},{space()}{b}{space()})" for a, b in pairs
+    )
+    head = f"{genus}{space()},{space()}{boundary}" if boundary else f"{genus}"
+    text = f"{space()}{rng.choice(['M', ''])}{space()}({space()}{head}{space()};"
+    text += f"{space()}{body}{space()}){space()}"
+    if rng.random() < 0.3:
+        text = rng.choice(MALFORMATIONS)(text)
+    return text
+
+
+class TestWellFormedPattern:
+    """``parse_invariant`` reads a well-formed text off one pattern's match;
+    the scanner ``_scan_invariant`` is the reference for every text."""
+
+    def corpus(self):
+        rng = random.Random(20181)
+        texts = [fuzz_invariant(rng) for _ in range(3000)]
+        texts += [_report_stream_text(rng) for _ in range(3000)]
+        # non-ASCII spaces and digits, then structure and signs
+        texts += [
+            "M(0;\u00a0(2,1))", "(0; (\u0663,1))", "M(0; (2,1))\u2028", "M(0; (2,\u00b2))",
+            "\u3000M(0;)", "M(0\u200b;)", "M(0;\x1c)", "M(0;\x85)", "M(0; (\uff12,1))", "m(0;)",
+            "M(0; (2,1)),", "M(0; (2,1),)", "M(0; (2,-1), (2,1)", "M(0, -0;)", "M(-0;)",
+            "M(0; (2, - 1))", "M(0; (--2,1))", "", "M", "M(", "M(0", "M(0;", "M(0;(",
+            "M(0; (2,1)) )", "(0;)(1;)", "M(0; (4,2), (0,1))",
+        ]
+        budget = notation._digit_budget()
+        limit = notation._int_digit_limit()
+        for digits in (budget - 4, budget - 3, budget - 2, budget, budget + 1, limit, limit + 1):
+            seven = "7" * max(digits, 1)
+            texts += [f"M(0; (1,{seven}))", f"M(0; (1,-{seven}))", f"M(-1, 1; ({seven},2))"]
+        return texts
+
+    def test_matches_scanner(self):
+        for text in self.corpus():
+            scanned = _outcome(notation._scan_invariant, text)
+            assert _outcome(parse_invariant, text) == scanned, text
+            if not isinstance(scanned, tuple) or scanned[0] is NotCoprime:
+                # what the scanner reads takes the pattern's path
+                assert notation._WELL_FORMED.fullmatch(text), text
+
+    def test_over_budget_text_not_matched(self, monkeypatch):
+        # its digits are counted first, so the pattern never scans it
+        matched = []
+        pattern = notation._WELL_FORMED
+
+        class CountingPattern:
+            def fullmatch(self, text):
+                matched.append(text)
+                return pattern.fullmatch(text)
+
+        monkeypatch.setattr(notation, "_WELL_FORMED", CountingPattern())
+        with pytest.raises(ParseError, match="invariant too large"):
+            parse_invariant("M(0; " + "(1,1), " * notation._digit_budget() + "(1,1))")
+        assert matched == []
+        assert parse_invariant("M(0; (2,1))") == SeifertInvariant(0, ((2, 1),))
+        assert matched == ["M(0; (2,1))"]
+
+    def test_whitespace_runs_bounded(self):
+        # a run of 100,002 ASCII whitespace characters at every separator,
+        # in text that parses and in two texts that do not
+        base = "M(0, 1; (2,1), (3,-1))"
+        run = " \t\n\r\f\v" * 16_667
+        cuts = [
+            i for i in range(len(base) + 1)
+            if not (0 < i < len(base) and base[i - 1] in "-0123456789" and base[i].isdigit())
+        ]
+        expected = parse_invariant(base)
+        start = time.perf_counter()
+        for i in cuts:
+            text = base[:i] + run + base[i:]
+            assert parse_invariant(text) == expected
+            for bad in (text.replace(";", ":"), base[:i] + run + "x" + base[i:]):
+                with pytest.raises(ParseError):
+                    parse_invariant(bad)
+        assert time.perf_counter() - start < 2
+
+
 class TestPrintInvariant:
     def test_normalizes(self):
         assert print_invariant(SeifertInvariant(0, ((1, 0),))) == "M(0;)"
@@ -286,22 +389,50 @@ class TestInvariantReport:
         assert "lens" not in report
         assert report["homotopy"]["cohomology_rank"] == 0
 
-    def test_covering_target_printed_once(self, monkeypatch):
-        from seifert import notation
+    def test_normalizes_once(self, monkeypatch):
+        # the normalized invariant and the lens section read one canonical
+        # form, and the covering target is printed as the decision built it
+        import seifert
 
-        printed = []
-        original = notation.print_invariant
+        calls = []
+        original = seifert.normalize
 
-        def counting_print(inv):
-            printed.append(inv)
+        def counting_normalize(inv):
+            calls.append(inv)
             return original(inv)
 
-        monkeypatch.setattr(notation, "print_invariant", counting_print)
-        inv = parse_invariant("M(0; (1,-1), (5,2), (5,2), (5,2))")
-        report = notation.invariant_report("M(0; (1,-1), (5,2), (5,2), (5,2))", inv)
-        assert report["hvf"]["mechanisms"][0]["kind"] == "covering"
-        # the input and the covering target, each once
-        assert len(printed) == 2
+        for module in list(sys.modules.values()):
+            name = getattr(module, "__name__", "")
+            if name.split(".")[0] == "seifert" and getattr(module, "normalize", None) is original:
+                monkeypatch.setattr(module, "normalize", counting_normalize)
+        cases = [
+            # closed lens form, with a covering
+            ("M(0; (1,-2), (2,1), (3,2))", "covering", True),
+            # closed covering, not a lens form
+            ("M(0; (1,-1), (5,2), (5,2), (5,2))", "covering", False),
+            # Euler mismatch
+            ("M(0; (2,1), (3,1), (7,1))", "euler_mismatch", False),
+            # bounded, with a covering
+            ("M(0, 1; (3,1), (3,1))", "covering", False),
+        ]
+        for text, kind, lens in cases:
+            calls.clear()
+            report = invariant_report(text, parse_invariant(text))
+            hvf = report["hvf"]
+            kinds = {m["kind"] for m in hvf["mechanisms"]}
+            kinds.add((hvf["obstruction"] or {}).get("kind"))
+            assert kind in kinds, (text, hvf)
+            assert ("lens" in report) is lens, text
+            assert len(calls) == 1, text
+
+    @given(st.one_of(closed_invariants(), bounded_invariants()))
+    def test_target_printed_canonical(self, invariant):
+        # the decision builds its covering target canonical, so the report
+        # prints its pairs as they stand
+        decision = (decide_hvf if invariant.closed else decide_hvf_boundary)(invariant)
+        targets = [m.target for m in decision.mechanisms if isinstance(m, Covering)]
+        expected = print_invariant(targets[0]) if targets else None
+        assert notation.decision_json(decision)["target"] == expected
 
     def test_bounded_report_shape(self):
         from seifert.notation import invariant_report
