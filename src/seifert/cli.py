@@ -28,6 +28,7 @@ from .lens import (
     oriented_diffeomorphic,
 )
 from .notation import (
+    _canonical_text,
     _digit_budget,
     _int_digit_limit,
     catalog_json,
@@ -90,9 +91,9 @@ def _cmd_classify_orbifold(args) -> int:
         f"underlying surface chi: {payload['chi_underlying']}",
     ]
     if orb.closed:
-        geometry = orb_mod.geometry_class(orb)
+        geometry = orb_mod._geometry(orb_mod._code(orb), orb.cone_orders, x)
         payload["geometry"] = geometry.value
-        payload["bad"] = orb_mod.is_bad(orb)
+        payload["bad"] = geometry is orb_mod.GeometryClass.BAD
         family = orb_mod.elliptic_family(orb) or orb_mod.parabolic_family(orb)
         if isinstance(family, tuple):
             payload["family"] = {"kind": family[0], "param": family[1]}
@@ -128,7 +129,7 @@ def _cmd_normalize(args) -> int:
     cf = normalize(inv)
     payload = {
         "input": args.invariant,
-        "normalized_invariant": print_invariant(inv),
+        "normalized_invariant": _canonical_text(cf),
         "genus_code": cf.genus_code,
         "boundary_count": cf.boundary_count,
         "pairs": [list(p) for p in cf.pairs],
@@ -317,14 +318,11 @@ def _cmd_alternates(args) -> int:
             for alt in alternates
         ],
     }
-    if not alternates:
-        lines = ["unique fibering of its manifold"]
-    else:
-        lines = []
-        for alt in alternates:
-            head = print_invariant(alt.invariant) if alt.invariant else "(family)"
-            lines.append(f"{alt.kind}: {head} -- {alt.note}")
-    return _emit(args, payload, lines)
+    lines = [
+        f"{alt['kind']}: {alt['invariant'] or '(family)'} -- {alt['note']}"
+        for alt in payload["alternates"]
+    ]
+    return _emit(args, payload, lines or ["unique fibering of its manifold"])
 
 
 @functools.cache

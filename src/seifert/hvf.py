@@ -227,7 +227,7 @@ def _decide(inv: SeifertInvariant) -> HvfDecision:
     ``(1, -chi_u)`` when closed, and with boundary the pair is dropped.
     """
     cones = tuple(sorted((a, a - 1) for a, _ in inv.pairs if a >= 2))
-    chi_u = _chi_underlying(inv)
+    chi_u = _chi_underlying(inv.genus_code, inv.boundary_count)
     mechanisms = []
     if not cones and (not inv.closed or chi_u == 0):
         mechanisms.append(SurfaceSection())
@@ -270,4 +270,5 @@ def boundary_tangency(inv: SeifertInvariant) -> bool:
     or the Mobius band."""
     if inv.closed:
         raise ValueError("boundary tangency needs an invariant with boundary")
-    return not any(a >= 2 for a, _ in inv.pairs) and _chi_underlying(inv) == 0
+    bare = not any(a >= 2 for a, _ in inv.pairs)
+    return bare and _chi_underlying(inv.genus_code, inv.boundary_count) == 0

@@ -122,15 +122,15 @@ def equal(a: SeifertInvariant, b: SeifertInvariant) -> bool:
     return normalize(a) == normalize(b)
 
 
-def _chi_underlying(inv: SeifertInvariant) -> int:
-    """Euler characteristic of the base surface, cone points forgotten:
-    ``orbifold.chi_underlying`` read off the genus code and boundary count,
-    ``2 - 2g - n`` for an orientable base and ``2 + g - n`` for ``g < 0``.
-    It is 0 exactly on the bare surfaces that carry a nowhere-zero field
-    (tangent to any boundary): the torus, the Klein bottle, the annulus and
-    the Mobius band."""
-    g = inv.genus_code
-    return (2 - 2 * g if g >= 0 else 2 + g) - inv.boundary_count
+def _chi_underlying(g: int, n: int) -> int:
+    """Euler characteristic of the surface of genus code ``g`` with ``n``
+    boundary circles, cone points forgotten: ``2 - 2g - n`` when orientable
+    (``g >= 0``) and ``2 + g - n`` with ``-g`` cross caps.  The one statement
+    of it: ``orbifold.chi_underlying``, the fold, the section test and
+    boundary tangency all read it.  It is 0 exactly on the bare surfaces that
+    carry a nowhere-zero field (tangent to any boundary): the torus, the
+    Klein bottle, the annulus and the Mobius band."""
+    return (2 - 2 * g if g >= 0 else 2 + g) - n
 
 
 def _fold(inv: SeifertInvariant) -> tuple[int, int, int]:
@@ -144,7 +144,7 @@ def _fold(inv: SeifertInvariant) -> tuple[int, int, int]:
         eb = eb * a + b * p
         cone = cone * a + (a - 1) * p
         p *= a
-    return eb, _chi_underlying(inv) * p - cone, p
+    return eb, _chi_underlying(inv.genus_code, inv.boundary_count) * p - cone, p
 
 
 def euler_number(inv: SeifertInvariant) -> Fraction:
@@ -194,8 +194,11 @@ class AlternateFibering(Record):
     note: str
 
 
-def _sign(x: int) -> int:
-    return 1 if x > 0 else -1
+def _flip(a: int, b: int) -> tuple[int, int]:
+    """The lens/prism duality on one non-zero ratio ``b/a``: the pair of
+    ``a/b`` with a positive alpha, ``(|b|, sign(b) a)``.  It serves both
+    directions."""
+    return (b, a) if b > 0 else (-b, -a)
 
 
 def alternate_fiberings(inv: SeifertInvariant) -> list[AlternateFibering]:
@@ -224,13 +227,10 @@ def alternate_fiberings(inv: SeifertInvariant) -> list[AlternateFibering]:
         pairs = cf.pairs
         # (0; (2,1), (2,-1), (a3,b3)) with the third pair read off canonically
         if len(pairs) in (2, 3) and pairs[0] == (2, 1) and pairs[1] == (2, 1):
-            if len(pairs) == 2:
-                a3, b3 = 1, cf.b + 1
-            else:
-                a3 = pairs[2][0]
-                b3 = pairs[2][1] + (cf.b + 1) * a3
+            a3, c3 = pairs[2] if len(pairs) == 3 else (1, 0)
+            b3 = c3 + (cf.b + 1) * a3
             if b3 != 0:
-                dual = SeifertInvariant(-1, ((abs(b3), _sign(b3) * a3),))
+                dual = SeifertInvariant(-1, (_flip(a3, b3),))
                 out.append(
                     AlternateFibering(
                         "lens_dual",
@@ -260,7 +260,7 @@ def alternate_fiberings(inv: SeifertInvariant) -> list[AlternateFibering]:
         a1, c1 = cf.pairs[0] if cf.pairs else (1, 0)
         b1 = c1 + cf.b * a1
         if b1 != 0:
-            dual = SeifertInvariant(0, ((2, 1), (2, -1), (abs(b1), _sign(b1) * a1)))
+            dual = SeifertInvariant(0, ((2, 1), (2, -1), _flip(a1, b1)))
             out.append(
                 AlternateFibering(
                     "lens_dual",

@@ -157,11 +157,12 @@ def parse_orbifold(text: str) -> "orb_mod.Orbifold":
     return orb_mod.Orbifold(True, handles, tuple(cones), boundary or 0)
 
 
-def _orbifold_text(orientable: bool, genus: int, cone_orders, boundary_count: int) -> str:
-    """Canonical notation of the orbifold with these fields: the sorted cone
-    orders, then o/x tokens, then bN."""
+def _orbifold_text(g: int, cone_orders, boundary_count: int) -> str:
+    """Canonical notation of the orbifold of genus code ``g``, these sorted
+    cone orders and boundary circles: the cone orders, then ``g`` o tokens
+    or ``-g`` x tokens, then bN."""
     parts = [str(a) for a in cone_orders]
-    parts += (["o"] if orientable else ["x"]) * genus
+    parts += ["o"] * g if g >= 0 else ["x"] * -g
     if boundary_count:
         parts.append(f"b{boundary_count}")
     return " ".join(parts) if parts else "1"
@@ -169,7 +170,7 @@ def _orbifold_text(orientable: bool, genus: int, cone_orders, boundary_count: in
 
 def print_orbifold(orb) -> str:
     """Canonical notation: sorted cone orders, then o/x tokens, then bN."""
-    return _orbifold_text(orb.orientable, orb.genus, orb.cone_orders, orb.boundary_count)
+    return _orbifold_text(orb_mod._code(orb), orb.cone_orders, orb.boundary_count)
 
 
 # ---------------------------------------------------------------- invariants
@@ -397,16 +398,16 @@ def invariant_report(text: str, inv: SeifertInvariant) -> dict:
     Field names are frozen: input, normalized_invariant, base_orbifold,
     geometry, euler_number, chi, hvf, and the optional lens and homotopy
     sections.  Bounded invariants have null geometry and euler_number.  The
-    base orbifold's fields are those ``base_orbifold`` reads off the
-    invariant, and e and chi come from one fold over the product of the
-    alphas.  The one canonical form serves the normalized invariant and the
-    lens section.
+    base orbifold is read off the genus code, the boundary count and the
+    canonical form's sorted alphas, and e and chi come from one fold over
+    the product of the alphas.  The one canonical form serves the normalized
+    invariant, the cone orders and the lens section.
     """
     cf = normalize(inv)
-    orientable, genus, cones, boundary = orb_mod._base_fields(inv)
+    cones = [a for a, _ in cf.pairs]
     eb, x, p = _fold(inv)
     if inv.closed:
-        geometry = orb_mod._geometry(orientable, genus, cones, x).value
+        geometry = orb_mod._geometry(inv.genus_code, cones, x).value
         euler = _ratio_str(-eb, p)
         decision = decide_hvf(inv)
     else:
@@ -416,7 +417,7 @@ def invariant_report(text: str, inv: SeifertInvariant) -> dict:
     report = {
         "input": text,
         "normalized_invariant": _canonical_text(cf),
-        "base_orbifold": _orbifold_text(orientable, genus, cones, boundary),
+        "base_orbifold": _orbifold_text(inv.genus_code, cones, inv.boundary_count),
         "geometry": geometry,
         "euler_number": euler,
         "chi": _ratio_str(x, p),

@@ -11,6 +11,12 @@ of unequal orders; not quotients of any surface) and the good ones, which are
 elliptic, parabolic or hyperbolic according to the sign of chi.  The unit
 tangent bundle of any closed orbifold is an oriented Seifert fiber space whose
 Euler number equals chi.
+
+Every rule here reads the underlying surface by its genus code, the integer a
+``SeifertInvariant`` names its base by: the genus ``g >= 0`` of an orientable
+surface, or minus the number of cross caps.  ``_code`` is the one bridge from
+``Orbifold``'s ``orientable`` and ``genus`` fields to that code, so the report,
+which reads the invariant and builds no ``Orbifold``, applies the same rules.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from fractions import Fraction
 
 from ._record import Record, integral
 from .errors import BoundaryNotSupported
-from .invariant import SeifertInvariant
+from .invariant import SeifertInvariant, _chi_underlying
 
 __all__ = [
     "Orbifold",
@@ -43,8 +49,6 @@ __all__ = [
     "elliptic_orbifolds",
     "unit_tangent_invariant",
     "fiberings_over",
-    "is_torus",
-    "is_klein_bottle",
 ]
 
 
@@ -88,20 +92,19 @@ class Orbifold(Record):
         return self.boundary_count == 0
 
 
-def _base_fields(inv: SeifertInvariant) -> tuple[bool, int, list[int], int]:
-    """The base orbifold's fields, in ``Orbifold``'s order and canonical form:
-    orientable of genus ``g`` for genus code ``g >= 0`` and with ``-g``
-    cross caps otherwise, the sorted orders of the pairs with ``alpha >= 2``,
-    and the fibering's boundary circles."""
-    g = inv.genus_code
-    return g >= 0, abs(g), sorted(a for a, _ in inv.pairs if a >= 2), inv.boundary_count
+def _code(orb: Orbifold) -> int:
+    """The genus code of the orbifold's surface: its genus when orientable,
+    minus its cross caps otherwise.  The only reader of ``orientable`` and
+    ``genus`` outside the constructor."""
+    return orb.genus if orb.orientable else -orb.genus
 
 
 def base_orbifold(inv: SeifertInvariant) -> Orbifold:
     """The base orbifold of a fibering: orientable of genus ``g`` for genus
     code ``g >= 0`` and with ``-g`` cross caps otherwise, one cone point per
     pair with ``alpha >= 2``, and the fibering's boundary circles."""
-    return Orbifold(*_base_fields(inv))
+    g = inv.genus_code
+    return Orbifold(g >= 0, abs(g), [a for a, _ in inv.pairs if a >= 2], inv.boundary_count)
 
 
 def sphere(*cone_orders: int) -> Orbifold:
@@ -137,9 +140,7 @@ class GeometryClass(Enum):
 
 def chi_underlying(orb: Orbifold) -> int:
     """Euler characteristic of the underlying surface, cone points forgotten."""
-    if orb.orientable:
-        return 2 - 2 * orb.genus - orb.boundary_count
-    return 2 - orb.genus - orb.boundary_count
+    return _chi_underlying(_code(orb), orb.boundary_count)
 
 
 def chi(orb: Orbifold) -> Fraction:
@@ -156,20 +157,19 @@ def _require_closed(orb: Orbifold, what: str):
         raise BoundaryNotSupported(f"{what} is defined for closed orbifolds")
 
 
-def _is_bad(orientable: bool, genus: int, cone_orders) -> bool:
-    """The bad-orbifold rule on a closed orbifold's fields: a sphere with a
-    single cone point, or with exactly two of different orders."""
-    if not orientable or genus != 0:
-        return False
+def _is_bad(g: int, cone_orders) -> bool:
+    """The bad-orbifold rule on a closed orbifold of genus code ``g`` and
+    sorted cone orders: a sphere with a single cone point, or with exactly
+    two of different orders."""
     c = cone_orders
-    return len(c) == 1 or (len(c) == 2 and c[0] != c[1])
+    return g == 0 and (len(c) == 1 or (len(c) == 2 and c[0] != c[1]))
 
 
-def _geometry(orientable: bool, genus: int, cone_orders, x) -> GeometryClass:
-    """The geometry class of a closed orbifold from its fields and ``x``, a
-    number of the sign of chi: bad, or else elliptic/parabolic/hyperbolic as
-    chi is positive, zero or negative."""
-    if _is_bad(orientable, genus, cone_orders):
+def _geometry(g: int, cone_orders, x) -> GeometryClass:
+    """The geometry class of a closed orbifold from its genus code, its
+    sorted cone orders and ``x``, a number of the sign of chi: bad, or else
+    elliptic/parabolic/hyperbolic as chi is positive, zero or negative."""
+    if _is_bad(g, cone_orders):
         return GeometryClass.BAD
     if x > 0:
         return GeometryClass.ELLIPTIC
@@ -183,13 +183,13 @@ def is_bad(orb: Orbifold) -> bool:
     isometry group: a sphere with a single cone point, or with exactly two
     cone points of different orders."""
     _require_closed(orb, "the good/bad dichotomy")
-    return _is_bad(orb.orientable, orb.genus, orb.cone_orders)
+    return _is_bad(_code(orb), orb.cone_orders)
 
 
 def geometry_class(orb: Orbifold) -> GeometryClass:
     """Bad, or else elliptic/parabolic/hyperbolic by the sign of chi."""
     _require_closed(orb, "the geometry class")
-    return _geometry(orb.orientable, orb.genus, orb.cone_orders, chi(orb))
+    return _geometry(_code(orb), orb.cone_orders, chi(orb))
 
 
 def elliptic_family(orb: Orbifold) -> tuple[str, int] | None:
@@ -200,8 +200,8 @@ def elliptic_family(orb: Orbifold) -> tuple[str, int] | None:
     and projective planes with at most one cone point ("px").
     """
     _require_closed(orb, "the elliptic family")
-    c = orb.cone_orders
-    if orb.orientable and orb.genus == 0:
+    g, c = _code(orb), orb.cone_orders
+    if g == 0:
         if len(c) == 0:
             return ("pp", 1)
         if len(c) == 2 and c[0] == c[1]:
@@ -210,7 +210,7 @@ def elliptic_family(orb: Orbifold) -> tuple[str, int] | None:
             return ("22p", c[2])
         if len(c) == 3 and c[0] == 2 and c[1] == 3 and 3 <= c[2] <= 5:
             return ("23q", c[2])
-    elif not orb.orientable and orb.genus == 1:
+    elif g == -1:
         if len(c) == 0:
             return ("px", 1)
         if len(c) == 1:
@@ -218,21 +218,23 @@ def elliptic_family(orb: Orbifold) -> tuple[str, int] | None:
     return None
 
 
+# the seven parabolic orbifolds, keyed by genus code and cone orders
+_PARABOLIC = {
+    (1, ()): "T2",
+    (-2, ()): "K",
+    (0, (2, 3, 6)): "236",
+    (0, (2, 4, 4)): "244",
+    (0, (3, 3, 3)): "333",
+    (0, (2, 2, 2, 2)): "2222",
+    (-1, (2, 2)): "22x",
+}
+
+
 def parabolic_family(orb: Orbifold) -> str | None:
     """The parabolic orbifold's name, or None.  There are exactly seven:
     the torus, the Klein bottle, 236, 244, 333, 2222, and 22x."""
     _require_closed(orb, "the parabolic family")
-    c = orb.cone_orders
-    if orb.orientable and orb.genus == 1 and not c:
-        return "T2"
-    if not orb.orientable and orb.genus == 2 and not c:
-        return "K"
-    if orb.orientable and orb.genus == 0:
-        named = {(2, 3, 6): "236", (2, 4, 4): "244", (3, 3, 3): "333", (2, 2, 2, 2): "2222"}
-        return named.get(c)
-    if not orb.orientable and orb.genus == 1 and c == (2, 2):
-        return "22x"
-    return None
+    return _PARABOLIC.get((_code(orb), orb.cone_orders))
 
 
 def elliptic_orbifolds(max_order: int) -> list[Orbifold]:
@@ -254,10 +256,9 @@ def unit_tangent_invariant(orb: Orbifold) -> SeifertInvariant:
     holds for bad orbifolds as well, and always gives Euler number chi(orb).
     """
     _require_closed(orb, "the unit tangent bundle invariant")
-    g = orb.genus if orb.orientable else -orb.genus
     n = len(orb.cone_orders)
     pairs = ((1, n - chi_underlying(orb)),) + tuple((a, -1) for a in orb.cone_orders)
-    return SeifertInvariant(g, pairs)
+    return SeifertInvariant(_code(orb), pairs)
 
 
 def fiberings_over(orb: Orbifold, b_range):
@@ -265,17 +266,9 @@ def fiberings_over(orb: Orbifold, b_range):
     ``[1, a)`` prime to each cone order ``a`` and of ``b`` in ``b_range``,
     the integer pair ``(1, b)`` appended when ``b != 0``."""
     _require_closed(orb, "the fibering enumeration")
-    g = orb.genus if orb.orientable else -orb.genus
+    g = _code(orb)
     choices = [[c for c in range(1, a) if math.gcd(a, c) == 1] for a in orb.cone_orders]
     for betas in itertools.product(*choices):
         cones = tuple(zip(orb.cone_orders, betas))
         for b in b_range:
             yield SeifertInvariant(g, cones + ((1, b),) if b else cones)
-
-
-def is_torus(orb: Orbifold) -> bool:
-    return orb.closed and orb.orientable and orb.genus == 1 and not orb.cone_orders
-
-
-def is_klein_bottle(orb: Orbifold) -> bool:
-    return orb.closed and not orb.orientable and orb.genus == 2 and not orb.cone_orders

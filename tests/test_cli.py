@@ -362,6 +362,52 @@ class TestOrbifoldsPerQuery:
         assert len(calls) == built
 
 
+class TestValuesPerQuery:
+    """Each query computes each value once: normalize prints the canonical
+    form it already holds, alternates renders its lines from the payload,
+    and classify-orbifold reads its geometry and badness off the one chi."""
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (["normalize", "M(0; (1,0), (1,-2))"], 1),
+            (["alternates", "M(-1; (2,-1))"], 3),
+        ],
+    )
+    def test_canonical_forms(self, capsys, monkeypatch, argv, built, json_flag):
+        from seifert.invariant import CanonicalForm
+
+        calls = []
+        init = CanonicalForm.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CanonicalForm, "__init__", counting_init)
+        code, _, err = run(capsys, *argv, *json_flag)
+        assert code == 0, err
+        assert len(calls) == built
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize("name", ["chi", "_is_bad"])
+    def test_classify_orbifold_rules(self, capsys, monkeypatch, name, json_flag):
+        from seifert import orbifold
+
+        calls = []
+        rule = getattr(orbifold, name)
+
+        def counting(*args):
+            calls.append(args)
+            return rule(*args)
+
+        monkeypatch.setattr(orbifold, name, counting)
+        code, _, err = run(capsys, "classify-orbifold", "2 3 7", *json_flag)
+        assert code == 0, err
+        assert len(calls) == 1
+
+
 class TestImportFootprint:
     def test_cli_import_skips_dataclasses_inspect_traceback(self):
         # one process answers one query, so every module the import pulls in

@@ -29,7 +29,6 @@ from seifert import (
     unit_tangent_invariant,
 )
 from seifert.errors import BoundaryNotSupported
-from seifert.orbifold import is_klein_bottle, is_torus
 
 
 def small_orbifolds(max_genus=2, max_cones=4, max_order=12):
@@ -55,11 +54,6 @@ class TestOrbifoldType:
     def test_nonorientable_needs_genus(self):
         with pytest.raises(ValueError):
             Orbifold(False, 0)
-
-    def test_surface_predicates(self):
-        assert is_torus(torus())
-        assert is_klein_bottle(klein_bottle())
-        assert not is_torus(Orbifold(True, 1, (2,)))
 
 
 class TestChi:
@@ -137,6 +131,22 @@ class TestFamilies:
             assert (elliptic_family(orb) is not None) == (geom is GeometryClass.ELLIPTIC)
             assert (parabolic_family(orb) is not None) == (geom is GeometryClass.PARABOLIC)
 
+    def test_each_parabolic_name_once_on_grid(self):
+        # a table entry keyed to the wrong surface or cone orders still
+        # answers "parabolic" on the grid above, but names the wrong orbifold
+        named = [(parabolic_family(orb), orb) for orb in small_orbifolds()]
+        named = [(name, orb) for name, orb in named if name is not None]
+        assert len(named) == 7
+        assert dict(named) == {
+            "T2": torus(),
+            "K": klein_bottle(),
+            "236": sphere(2, 3, 6),
+            "244": sphere(2, 4, 4),
+            "333": sphere(3, 3, 3),
+            "2222": sphere(2, 2, 2, 2),
+            "22x": projective_plane(2, 2),
+        }
+
 
 class TestUnitTangentBundle:
     def test_sphere(self):
@@ -169,6 +179,14 @@ class TestUnitTangentBundle:
     def test_boundary_rejected(self):
         with pytest.raises(BoundaryNotSupported):
             unit_tangent_invariant(mobius_band())
+
+    @pytest.mark.parametrize("g", range(-4, 5))
+    def test_genus_code_round_trip(self, g):
+        # the base of the bare fibering of genus code g keeps that code
+        # through the unit tangent bundle and the fibering enumeration
+        orb = base_orbifold(SeifertInvariant(g))
+        assert unit_tangent_invariant(orb).genus_code == g
+        assert list(fiberings_over(orb, range(1))) == [SeifertInvariant(g)]
 
 
 class TestEllipticScan:
