@@ -6,21 +6,22 @@ reversal, and the congruence class of covering degrees.
 """
 
 from seifert import (
-    Orbifold,
     allowable_degrees,
     equal,
+    klein_bottle,
     print_invariant,
     print_orbifold,
     projective_plane,
     reverse_orientation,
     sphere,
+    torus,
     unit_tangent_invariant,
 )
 from seifert.notation import degree_set_json, degree_set_str
 
 BASES = [
-    Orbifold(True, 1),
-    Orbifold(False, 2),
+    torus(),
+    klein_bottle(),
     sphere(2, 3, 6),
     sphere(2, 4, 4),
     sphere(3, 3, 3),

@@ -17,7 +17,7 @@ import sys
 from .errors import NoHvf, SeifertError
 from .hvf import boundary_tangency
 from .homotopy import homotopy_components
-from .invariant import alternate_fiberings, euler_number, fiberwise_quotient, normalize
+from .invariant import _fold, alternate_fiberings, euler_number, fiberwise_quotient, normalize
 from .lens import (
     MarkedLens,
     classify_lens,
@@ -31,6 +31,7 @@ from .notation import (
     _canonical_text,
     _digit_budget,
     _int_digit_limit,
+    _ratio_str,
     catalog_json,
     degree_set_str,
     invariant_report,
@@ -87,11 +88,11 @@ def _cmd_classify_orbifold(args) -> int:
     }
     lines = [
         f"orbifold: {payload['orbifold']}",
-        f"chi: {x}",
+        f"chi: {_rational_text(payload['chi'])}",
         f"underlying surface chi: {payload['chi_underlying']}",
     ]
     if orb.closed:
-        geometry = orb_mod._geometry(orb_mod._code(orb), orb.cone_orders, x)
+        geometry = orb_mod._geometry(orb.genus_code, orb.cone_orders, x)
         payload["geometry"] = geometry.value
         payload["bad"] = geometry is orb_mod.GeometryClass.BAD
         family = orb_mod.elliptic_family(orb) or orb_mod.parabolic_family(orb)
@@ -112,15 +113,20 @@ def _cmd_classify_orbifold(args) -> int:
 def _cmd_ut(args) -> int:
     orb = parse_orbifold(args.orbifold)
     inv = orb_mod.unit_tangent_invariant(orb)
-    e = euler_number(inv)
+    # the bundle's extra pair (1, n - chi0) adds nothing to the cone sum of
+    # the fold, so its x/P is chi of the orbifold
+    eb, x, p = _fold(inv)
     payload = {
         "input": args.orbifold,
         "orbifold": print_orbifold(orb),
         "invariant": print_invariant(inv),
-        "euler_number": rational_str(e),
-        "chi": rational_str(orb_mod.chi(orb)),
+        "euler_number": _ratio_str(-eb, p),
+        "chi": _ratio_str(x, p),
     }
-    lines = [f"unit tangent bundle: {payload['invariant']}", f"euler number: {e}"]
+    lines = [
+        f"unit tangent bundle: {payload['invariant']}",
+        f"euler number: {_rational_text(payload['euler_number'])}",
+    ]
     return _emit(args, payload, lines)
 
 
@@ -140,9 +146,8 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_euler(args) -> int:
     inv = parse_invariant(args.invariant)
-    e = euler_number(inv)
-    payload = {"input": args.invariant, "euler_number": rational_str(e)}
-    return _emit(args, payload, [str(e)])
+    payload = {"input": args.invariant, "euler_number": rational_str(euler_number(inv))}
+    return _emit(args, payload, [_rational_text(payload["euler_number"])])
 
 
 def _cmd_hvf(args) -> int:

@@ -151,10 +151,9 @@ def parse_orbifold(text: str) -> "orb_mod.Orbifold":
                 raise ParseError("boundary count must be positive (omit b0)", pos)
         else:
             raise ParseError(f"unrecognized token {token!r}", pos)
-    if crosscaps:
-        # h handles on a non-orientable surface amount to 2h extra cross caps
-        return orb_mod.Orbifold(False, crosscaps + 2 * handles, tuple(cones), boundary or 0)
-    return orb_mod.Orbifold(True, handles, tuple(cones), boundary or 0)
+    # h handles on a non-orientable surface amount to 2h extra cross caps
+    g = -(crosscaps + 2 * handles) if crosscaps else handles
+    return orb_mod.Orbifold(g, cones, boundary or 0)
 
 
 def _orbifold_text(g: int, cone_orders, boundary_count: int) -> str:
@@ -170,7 +169,7 @@ def _orbifold_text(g: int, cone_orders, boundary_count: int) -> str:
 
 def print_orbifold(orb) -> str:
     """Canonical notation: sorted cone orders, then o/x tokens, then bN."""
-    return _orbifold_text(orb_mod._code(orb), orb.cone_orders, orb.boundary_count)
+    return _orbifold_text(orb.genus_code, orb.cone_orders, orb.boundary_count)
 
 
 # ---------------------------------------------------------------- invariants

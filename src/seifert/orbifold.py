@@ -12,11 +12,11 @@ elliptic, parabolic or hyperbolic according to the sign of chi.  The unit
 tangent bundle of any closed orbifold is an oriented Seifert fiber space whose
 Euler number equals chi.
 
-Every rule here reads the underlying surface by its genus code, the integer a
+An orbifold names its underlying surface by its genus code, the integer a
 ``SeifertInvariant`` names its base by: the genus ``g >= 0`` of an orientable
-surface, or minus the number of cross caps.  ``_code`` is the one bridge from
-``Orbifold``'s ``orientable`` and ``genus`` fields to that code, so the report,
-which reads the invariant and builds no ``Orbifold``, applies the same rules.
+surface, or minus the number of cross caps.  The rules here read that code,
+so the report, which reads the invariant and builds no ``Orbifold``, applies
+the same rules.
 """
 
 from __future__ import annotations
@@ -55,25 +55,21 @@ __all__ = [
 class Orbifold(Record):
     """A compact 2-orbifold with cone points.
 
-    ``genus`` counts handles when orientable and cross caps when not (so a
-    non-orientable orbifold needs ``genus >= 1``).  Cone orders of 1 are
-    accepted and silently dropped, making the representation canonical.  The
-    genus, cone orders and boundary count must be integral.
+    ``genus_code`` is the genus ``g >= 0`` of an orientable surface or minus
+    the number of cross caps, as in ``SeifertInvariant``; every integer names
+    a surface.  Cone orders of 1 are accepted and silently dropped, making the
+    representation canonical.  The genus code, cone orders and boundary count
+    must be integral.
     """
 
-    __slots__ = ("orientable", "genus", "cone_orders", "boundary_count")
-    orientable: bool
-    genus: int
+    __slots__ = ("genus_code", "cone_orders", "boundary_count")
+    genus_code: int
     cone_orders: tuple[int, ...]
     boundary_count: int
 
-    def __init__(self, orientable, genus, cone_orders=(), boundary_count=0):
-        genus = integral(genus, "genus")
+    def __init__(self, genus_code, cone_orders=(), boundary_count=0):
+        genus_code = integral(genus_code, "genus code")
         boundary_count = integral(boundary_count, "boundary count")
-        if genus < 0:
-            raise ValueError("genus must be non-negative")
-        if not orientable and genus == 0:
-            raise ValueError("a non-orientable surface has at least one cross cap")
         if boundary_count < 0:
             raise ValueError("boundary count must be non-negative")
         given = tuple(cone_orders)
@@ -82,8 +78,7 @@ class Orbifold(Record):
             raise ValueError(f"cone orders must be integers, not {given!r}")
         if any(a < 1 for a in orders):
             raise ValueError("cone orders must be positive integers")
-        object.__setattr__(self, "orientable", bool(orientable))
-        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "genus_code", genus_code)
         object.__setattr__(self, "cone_orders", tuple(sorted(a for a in orders if a > 1)))
         object.__setattr__(self, "boundary_count", boundary_count)
 
@@ -92,43 +87,34 @@ class Orbifold(Record):
         return self.boundary_count == 0
 
 
-def _code(orb: Orbifold) -> int:
-    """The genus code of the orbifold's surface: its genus when orientable,
-    minus its cross caps otherwise.  The only reader of ``orientable`` and
-    ``genus`` outside the constructor."""
-    return orb.genus if orb.orientable else -orb.genus
-
-
 def base_orbifold(inv: SeifertInvariant) -> Orbifold:
-    """The base orbifold of a fibering: orientable of genus ``g`` for genus
-    code ``g >= 0`` and with ``-g`` cross caps otherwise, one cone point per
+    """The base orbifold of a fibering: its genus code, one cone point per
     pair with ``alpha >= 2``, and the fibering's boundary circles."""
-    g = inv.genus_code
-    return Orbifold(g >= 0, abs(g), [a for a, _ in inv.pairs if a >= 2], inv.boundary_count)
+    return Orbifold(inv.genus_code, [a for a, _ in inv.pairs if a >= 2], inv.boundary_count)
 
 
 def sphere(*cone_orders: int) -> Orbifold:
-    return Orbifold(True, 0, cone_orders)
+    return Orbifold(0, cone_orders)
 
 
 def projective_plane(*cone_orders: int) -> Orbifold:
-    return Orbifold(False, 1, cone_orders)
+    return Orbifold(-1, cone_orders)
 
 
 def torus() -> Orbifold:
-    return Orbifold(True, 1)
+    return Orbifold(1)
 
 
 def klein_bottle() -> Orbifold:
-    return Orbifold(False, 2)
+    return Orbifold(-2)
 
 
 def annulus() -> Orbifold:
-    return Orbifold(True, 0, (), 2)
+    return Orbifold(0, (), 2)
 
 
 def mobius_band() -> Orbifold:
-    return Orbifold(False, 1, (), 1)
+    return Orbifold(-1, (), 1)
 
 
 class GeometryClass(Enum):
@@ -140,7 +126,7 @@ class GeometryClass(Enum):
 
 def chi_underlying(orb: Orbifold) -> int:
     """Euler characteristic of the underlying surface, cone points forgotten."""
-    return _chi_underlying(_code(orb), orb.boundary_count)
+    return _chi_underlying(orb.genus_code, orb.boundary_count)
 
 
 def chi(orb: Orbifold) -> Fraction:
@@ -183,13 +169,13 @@ def is_bad(orb: Orbifold) -> bool:
     isometry group: a sphere with a single cone point, or with exactly two
     cone points of different orders."""
     _require_closed(orb, "the good/bad dichotomy")
-    return _is_bad(_code(orb), orb.cone_orders)
+    return _is_bad(orb.genus_code, orb.cone_orders)
 
 
 def geometry_class(orb: Orbifold) -> GeometryClass:
     """Bad, or else elliptic/parabolic/hyperbolic by the sign of chi."""
     _require_closed(orb, "the geometry class")
-    return _geometry(_code(orb), orb.cone_orders, chi(orb))
+    return _geometry(orb.genus_code, orb.cone_orders, chi(orb))
 
 
 def elliptic_family(orb: Orbifold) -> tuple[str, int] | None:
@@ -200,7 +186,7 @@ def elliptic_family(orb: Orbifold) -> tuple[str, int] | None:
     and projective planes with at most one cone point ("px").
     """
     _require_closed(orb, "the elliptic family")
-    g, c = _code(orb), orb.cone_orders
+    g, c = orb.genus_code, orb.cone_orders
     if g == 0:
         if len(c) == 0:
             return ("pp", 1)
@@ -234,7 +220,7 @@ def parabolic_family(orb: Orbifold) -> str | None:
     """The parabolic orbifold's name, or None.  There are exactly seven:
     the torus, the Klein bottle, 236, 244, 333, 2222, and 22x."""
     _require_closed(orb, "the parabolic family")
-    return _PARABOLIC.get((_code(orb), orb.cone_orders))
+    return _PARABOLIC.get((orb.genus_code, orb.cone_orders))
 
 
 def elliptic_orbifolds(max_order: int) -> list[Orbifold]:
@@ -258,7 +244,7 @@ def unit_tangent_invariant(orb: Orbifold) -> SeifertInvariant:
     _require_closed(orb, "the unit tangent bundle invariant")
     n = len(orb.cone_orders)
     pairs = ((1, n - chi_underlying(orb)),) + tuple((a, -1) for a in orb.cone_orders)
-    return SeifertInvariant(_code(orb), pairs)
+    return SeifertInvariant(orb.genus_code, pairs)
 
 
 def fiberings_over(orb: Orbifold, b_range):
@@ -266,7 +252,7 @@ def fiberings_over(orb: Orbifold, b_range):
     ``[1, a)`` prime to each cone order ``a`` and of ``b`` in ``b_range``,
     the integer pair ``(1, b)`` appended when ``b != 0``."""
     _require_closed(orb, "the fibering enumeration")
-    g = _code(orb)
+    g = orb.genus_code
     choices = [[c for c in range(1, a) if math.gcd(a, c) == 1] for a in orb.cone_orders]
     for betas in itertools.product(*choices):
         cones = tuple(zip(orb.cone_orders, betas))

@@ -81,12 +81,12 @@ def canonical_grid(max_alpha, max_pairs, b_range, genus_codes):
 
 def test_criterion_01_unit_tangent_euler_equals_chi():
     start = time.time()
-    surfaces = [(True, g) for g in range(4)] + [(False, g) for g in range(1, 4)]
+    genus_codes = [0, 1, 2, 3, -1, -2, -3]
     checked = 0
     for count in range(6):
         for cones in itertools.combinations_with_replacement(range(2, 16), count):
-            for orientable, genus in surfaces:
-                orb = Orbifold(orientable, genus, cones)
+            for g in genus_codes:
+                orb = Orbifold(g, cones)
                 assert euler_number(unit_tangent_invariant(orb)) == chi(orb)
                 checked += 1
     elapsed = time.time() - start
@@ -193,7 +193,7 @@ def test_criterion_04_elliptic_degrees_at_most_two():
     start = time.time()
     checked = twos = 0
     for base in elliptic_orbifolds(11):
-        pp = base.orientable and len(set(base.cone_orders)) <= 1
+        pp = base.genus_code >= 0 and len(set(base.cone_orders)) <= 1
         alpha = base.cone_orders[0] if base.cone_orders else 1
         family = _degree_two_family(alpha) if pp and alpha % 2 else None
         for inv in fiberings_over(base, range(-64, 65)):
@@ -263,8 +263,8 @@ def test_criterion_05_named_instances():
 def test_criterion_06_zero_euler_parabolic_census():
     start = time.time()
     bases = {
-        "T2": Orbifold(True, 1),
-        "K": Orbifold(False, 2),
+        "T2": Orbifold(1),
+        "K": Orbifold(-2),
         "236": sphere(2, 3, 6),
         "244": sphere(2, 4, 4),
         "333": sphere(3, 3, 3),
@@ -273,7 +273,6 @@ def test_criterion_06_zero_euler_parabolic_census():
     }
     census = {}
     for name, base in bases.items():
-        genus = base.genus if base.orientable else -base.genus
         beta_choices = [
             [c for c in range(-12, 13) if math.gcd(a, c) == 1]
             for a in base.cone_orders
@@ -284,7 +283,7 @@ def test_criterion_06_zero_euler_parabolic_census():
             if total.denominator != 1:
                 continue
             pairs = tuple(zip(base.cone_orders, betas)) + ((1, -int(total)),)
-            inv = SeifertInvariant(genus, pairs)
+            inv = SeifertInvariant(base.genus_code, pairs)
             assert euler_number(inv) == 0
             cf = normalize(inv)
             found.add((cf.genus_code, cf.pairs, cf.b))
@@ -565,8 +564,7 @@ def test_criterion_09_property_suites():
         orientable = bool(rng.getrandbits(1))
         genus = rng.randint(1 if not orientable else 0, 3)
         orb = Orbifold(
-            orientable,
-            genus,
+            genus if orientable else -genus,
             tuple(rng.randint(1, 15) for _ in range(rng.randrange(5))),
             rng.randrange(3),
         )

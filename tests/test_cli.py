@@ -407,6 +407,24 @@ class TestValuesPerQuery:
         assert code == 0, err
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_ut_reads_e_and_chi_off_one_fold(self, capsys, monkeypatch, json_flag):
+        # the bundle's extra pair (1, n - chi0) adds nothing to the cone sum,
+        # so the fold of its invariant gives chi of the orbifold too
+        from seifert import orbifold
+
+        calls = []
+        chi = orbifold.chi
+
+        def counting(*args):
+            calls.append(args)
+            return chi(*args)
+
+        monkeypatch.setattr(orbifold, "chi", counting)
+        code, _, err = run(capsys, "ut", "2 3 7", *json_flag)
+        assert code == 0, err
+        assert calls == []
+
 
 class TestImportFootprint:
     def test_cli_import_skips_dataclasses_inspect_traceback(self):
@@ -501,8 +519,9 @@ class TestExitCodeFuzz:
         assert min(codes.values()) > 400, codes
 
 
-# Full stdout, human and --json, of the decision subcommands; recorded once and
-# never regenerated, so any change to an output byte fails here.
+# Full stdout, human and --json, of the decision and orbifold subcommands;
+# recorded once and never regenerated, so any change to an output byte fails
+# here.
 GOLDEN = [
     # hvf: clash at (2, 3), (1, b) pair first
     (
@@ -1341,6 +1360,301 @@ unique up to homotopy: no
     "unique_up_to_homotopy": false
   },
   "note": null
+}
+""",
+    ),
+    # classify-orbifold: a bad sphere
+    (
+        ['classify-orbifold', '2 3'],
+        """\
+orbifold: 2 3
+chi: 5/6
+underlying surface chi: 2
+geometry: bad
+family: none
+""",
+    ),
+    (
+        ['classify-orbifold', '2 3', '--json'],
+        """\
+{
+  "input": "2 3",
+  "orbifold": "2 3",
+  "chi": "5/6",
+  "chi_underlying": 2,
+  "geometry": "bad",
+  "bad": true,
+  "family": null
+}
+""",
+    ),
+    # classify-orbifold: elliptic 22p
+    (
+        ['classify-orbifold', '2 2 7'],
+        """\
+orbifold: 2 2 7
+chi: 1/7
+underlying surface chi: 2
+geometry: elliptic
+family: 22p (parameter 7)
+""",
+    ),
+    (
+        ['classify-orbifold', '2 2 7', '--json'],
+        """\
+{
+  "input": "2 2 7",
+  "orbifold": "2 2 7",
+  "chi": "1/7",
+  "chi_underlying": 2,
+  "geometry": "elliptic",
+  "bad": false,
+  "family": {
+    "kind": "22p",
+    "param": 7
+  }
+}
+""",
+    ),
+    # classify-orbifold: elliptic 23q
+    (
+        ['classify-orbifold', '2 3 5'],
+        """\
+orbifold: 2 3 5
+chi: 1/30
+underlying surface chi: 2
+geometry: elliptic
+family: 23q (parameter 5)
+""",
+    ),
+    (
+        ['classify-orbifold', '2 3 5', '--json'],
+        """\
+{
+  "input": "2 3 5",
+  "orbifold": "2 3 5",
+  "chi": "1/30",
+  "chi_underlying": 2,
+  "geometry": "elliptic",
+  "bad": false,
+  "family": {
+    "kind": "23q",
+    "param": 5
+  }
+}
+""",
+    ),
+    # classify-orbifold: elliptic px
+    (
+        ['classify-orbifold', '5 x'],
+        """\
+orbifold: 5 x
+chi: 1/5
+underlying surface chi: 1
+geometry: elliptic
+family: px (parameter 5)
+""",
+    ),
+    (
+        ['classify-orbifold', '5 x', '--json'],
+        """\
+{
+  "input": "5 x",
+  "orbifold": "5 x",
+  "chi": "1/5",
+  "chi_underlying": 1,
+  "geometry": "elliptic",
+  "bad": false,
+  "family": {
+    "kind": "px",
+    "param": 5
+  }
+}
+""",
+    ),
+    # classify-orbifold: parabolic 22x
+    (
+        ['classify-orbifold', '2 2 x'],
+        """\
+orbifold: 2 2 x
+chi: 0
+underlying surface chi: 1
+geometry: parabolic
+family: 22x
+""",
+    ),
+    (
+        ['classify-orbifold', '2 2 x', '--json'],
+        """\
+{
+  "input": "2 2 x",
+  "orbifold": "2 2 x",
+  "chi": "0/1",
+  "chi_underlying": 1,
+  "geometry": "parabolic",
+  "bad": false,
+  "family": {
+    "kind": "22x"
+  }
+}
+""",
+    ),
+    # classify-orbifold: the Klein bottle
+    (
+        ['classify-orbifold', 'x x'],
+        """\
+orbifold: x x
+chi: 0
+underlying surface chi: 0
+geometry: parabolic
+family: K
+""",
+    ),
+    (
+        ['classify-orbifold', 'x x', '--json'],
+        """\
+{
+  "input": "x x",
+  "orbifold": "x x",
+  "chi": "0/1",
+  "chi_underlying": 0,
+  "geometry": "parabolic",
+  "bad": false,
+  "family": {
+    "kind": "K"
+  }
+}
+""",
+    ),
+    # classify-orbifold: the torus
+    (
+        ['classify-orbifold', 'o'],
+        """\
+orbifold: o
+chi: 0
+underlying surface chi: 0
+geometry: parabolic
+family: T2
+""",
+    ),
+    (
+        ['classify-orbifold', 'o', '--json'],
+        """\
+{
+  "input": "o",
+  "orbifold": "o",
+  "chi": "0/1",
+  "chi_underlying": 0,
+  "geometry": "parabolic",
+  "bad": false,
+  "family": {
+    "kind": "T2"
+  }
+}
+""",
+    ),
+    # classify-orbifold: a handle on a non-orientable surface
+    (
+        ['classify-orbifold', '2 3 x o'],
+        """\
+orbifold: 2 3 x x x
+chi: -13/6
+underlying surface chi: -1
+geometry: hyperbolic
+family: none
+""",
+    ),
+    (
+        ['classify-orbifold', '2 3 x o', '--json'],
+        """\
+{
+  "input": "2 3 x o",
+  "orbifold": "2 3 x x x",
+  "chi": "-13/6",
+  "chi_underlying": -1,
+  "geometry": "hyperbolic",
+  "bad": false,
+  "family": null
+}
+""",
+    ),
+    # classify-orbifold: boundary
+    (
+        ['classify-orbifold', '2 b2'],
+        """\
+orbifold: 2 b2
+chi: -1/2
+underlying surface chi: 0
+geometry: undefined (orbifold has boundary)
+""",
+    ),
+    (
+        ['classify-orbifold', '2 b2', '--json'],
+        """\
+{
+  "input": "2 b2",
+  "orbifold": "2 b2",
+  "chi": "-1/2",
+  "chi_underlying": 0,
+  "geometry": null,
+  "bad": null,
+  "family": null
+}
+""",
+    ),
+    # ut: a parabolic sphere
+    (
+        ['ut', '2 3 6'],
+        """\
+unit tangent bundle: M(0; (1,-2), (2,1), (3,2), (6,5))
+euler number: 0
+""",
+    ),
+    (
+        ['ut', '2 3 6', '--json'],
+        """\
+{
+  "input": "2 3 6",
+  "orbifold": "2 3 6",
+  "invariant": "M(0; (1,-2), (2,1), (3,2), (6,5))",
+  "euler_number": "0/1",
+  "chi": "0/1"
+}
+""",
+    ),
+    # ut: a projective plane
+    (
+        ['ut', '3 x'],
+        """\
+unit tangent bundle: M(-1; (1,-1), (3,2))
+euler number: 1/3
+""",
+    ),
+    (
+        ['ut', '3 x', '--json'],
+        """\
+{
+  "input": "3 x",
+  "orbifold": "3 x",
+  "invariant": "M(-1; (1,-1), (3,2))",
+  "euler_number": "1/3",
+  "chi": "1/3"
+}
+""",
+    ),
+    # euler: the unit tangent bundle of 236
+    (
+        ['euler', 'M(0; (2,-1), (3,-1), (6,5))'],
+        """\
+0
+""",
+    ),
+    (
+        ['euler', 'M(0; (2,-1), (3,-1), (6,5))', '--json'],
+        """\
+{
+  "input": "M(0; (2,-1), (3,-1), (6,5))",
+  "euler_number": "0/1"
 }
 """,
     ),

@@ -245,8 +245,7 @@ class TestDecisionBody:
     def test_closed_section_iff_torus_or_klein_bottle(self, invariant):
         base = base_orbifold(invariant)
         decision = decide_hvf(invariant)
-        surface = (base.orientable, base.genus)
-        expected = not base.cone_orders and surface in {(True, 1), (False, 2)}
+        expected = not base.cone_orders and base.genus_code in {1, -2}
         assert (SurfaceSection() in decision.mechanisms) == expected
 
     @given(bounded_invariants(max_pairs=3, max_alpha=6, max_beta=6))
@@ -274,10 +273,9 @@ class TestDecisionBody:
 def unit_tangent_bundles(draw):
     """Unit tangent bundles of closed orbifolds, each of which covers itself
     with degree 1."""
-    orientable = draw(st.booleans())
-    genus = draw(st.integers(0 if orientable else 1, 3))
+    genus_code = draw(st.integers(-3, 3))
     cones = draw(st.lists(st.integers(2, 9), max_size=4))
-    return unit_tangent_invariant(Orbifold(orientable, genus, tuple(cones)))
+    return unit_tangent_invariant(Orbifold(genus_code, cones))
 
 
 class TestCoveringTarget:
@@ -412,19 +410,19 @@ class TestParabolicSelfCovers:
     fiberwise self-cover (or a cover of the reversed orientation)."""
 
     EXPECTED = {
-        (True, 1, ()): DegreeProgression(0, 1),  # torus: every d != 0
-        (False, 2, ()): DegreeProgression(0, 1),  # Klein bottle
-        (True, 0, (2, 3, 6)): DegreeProgression(1, 6),
-        (True, 0, (2, 4, 4)): DegreeProgression(1, 4),
-        (True, 0, (3, 3, 3)): DegreeProgression(1, 3),
-        (True, 0, (2, 2, 2, 2)): DegreeProgression(1, 2),
-        (False, 1, (2, 2)): DegreeProgression(1, 2),
+        (1, ()): DegreeProgression(0, 1),  # torus: every d != 0
+        (-2, ()): DegreeProgression(0, 1),  # Klein bottle
+        (0, (2, 3, 6)): DegreeProgression(1, 6),
+        (0, (2, 4, 4)): DegreeProgression(1, 4),
+        (0, (3, 3, 3)): DegreeProgression(1, 3),
+        (0, (2, 2, 2, 2)): DegreeProgression(1, 2),
+        (-1, (2, 2)): DegreeProgression(1, 2),
     }
 
     @pytest.mark.parametrize("key", sorted(EXPECTED, key=str))
     def test_degree_sets(self, key):
-        orientable, genus, cones = key
-        ut = unit_tangent_invariant(Orbifold(orientable, genus, cones))
+        genus_code, cones = key
+        ut = unit_tangent_invariant(Orbifold(genus_code, cones))
         assert allowable_degrees(ut) == self.EXPECTED[key]
 
     @pytest.mark.parametrize("key", sorted(EXPECTED, key=str))
@@ -432,8 +430,8 @@ class TestParabolicSelfCovers:
         # a degree coprime to every cone order quotients the unit tangent
         # bundle onto itself or its reverse; the allowable set picks out the
         # self-covers
-        orientable, genus, cones = key
-        ut = unit_tangent_invariant(Orbifold(orientable, genus, cones))
+        genus_code, cones = key
+        ut = unit_tangent_invariant(Orbifold(genus_code, cones))
         degrees = allowable_degrees(ut)
         for d in range(-12, 13):
             if d == 0 or any(math.gcd(d, a) != 1 for a in cones):

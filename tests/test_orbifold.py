@@ -23,6 +23,8 @@ from seifert import (
     mobius_band,
     normalize,
     parabolic_family,
+    parse_orbifold,
+    print_orbifold,
     projective_plane,
     sphere,
     torus,
@@ -38,22 +40,42 @@ def small_orbifolds(max_genus=2, max_cones=4, max_order=12):
     for count in range(max_cones + 1):
         for cones in itertools.combinations_with_replacement(orders, count):
             for genus in range(max_genus + 1):
-                out.append(Orbifold(True, genus, cones))
+                out.append(Orbifold(genus, cones))
             for genus in range(1, max_genus + 1):
-                out.append(Orbifold(False, genus, cones))
+                out.append(Orbifold(-genus, cones))
     return out
 
 
 class TestOrbifoldType:
     def test_order_one_cones_dropped(self):
-        assert Orbifold(True, 0, (1, 3, 1, 2)).cone_orders == (2, 3)
+        assert Orbifold(0, (1, 3, 1, 2)).cone_orders == (2, 3)
 
     def test_cone_orders_sorted(self):
         assert sphere(7, 2, 3).cone_orders == (2, 3, 7)
 
-    def test_nonorientable_needs_genus(self):
-        with pytest.raises(ValueError):
-            Orbifold(False, 0)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: Orbifold(True, 1),
+            lambda: Orbifold(False, 2, (2,)),
+            lambda: Orbifold(orientable=True, genus=1),
+        ],
+        ids=["torus", "cone-on-klein-bottle", "keywords"],
+    )
+    def test_old_call_shapes_rejected(self, call):
+        # a call that passes orientability and a genus fails instead of
+        # naming another surface
+        with pytest.raises(TypeError):
+            call()
+
+    @pytest.mark.parametrize("g", range(-6, 7))
+    def test_every_genus_code_names_a_surface(self, g):
+        for cones, boundary in [((), 0), ((2, 3), 0), ((5,), 1), ((2, 2, 4), 3)]:
+            orb = Orbifold(g, cones, boundary)
+            assert orb.genus_code == g
+            assert parse_orbifold(print_orbifold(orb)) == orb
+            inv = SeifertInvariant(g, tuple((a, 1) for a in cones), boundary)
+            assert base_orbifold(inv).genus_code == g
 
 
 class TestChi:
@@ -85,7 +107,7 @@ class TestBadAndGeometry:
         assert not is_bad(sphere(5, 5))
 
     def test_torus_with_cone_not_bad(self):
-        assert not is_bad(Orbifold(True, 1, (2,)))
+        assert not is_bad(Orbifold(1, (2,)))
 
     def test_geometry_236(self):
         assert geometry_class(sphere(2, 3, 6)) is GeometryClass.PARABOLIC
@@ -94,7 +116,7 @@ class TestBadAndGeometry:
         assert geometry_class(sphere(2, 2, 7)) is GeometryClass.ELLIPTIC
 
     def test_geometry_genus_two(self):
-        assert geometry_class(Orbifold(True, 2, (2, 3))) is GeometryClass.HYPERBOLIC
+        assert geometry_class(Orbifold(2, (2, 3))) is GeometryClass.HYPERBOLIC
 
     def test_bad_orbifolds_have_positive_chi(self):
         for orb in small_orbifolds():
@@ -166,14 +188,11 @@ class TestUnitTangentBundle:
             assert euler_number(unit_tangent_invariant(orb)) == chi(orb)
 
     @given(
-        st.booleans(),
-        st.integers(0, 4),
+        st.integers(-5, 4),
         st.lists(st.integers(2, 20), max_size=5),
     )
-    def test_euler_number_equals_chi(self, orientable, genus, cones):
-        if not orientable:
-            genus += 1
-        orb = Orbifold(orientable, genus, tuple(cones))
+    def test_euler_number_equals_chi(self, genus_code, cones):
+        orb = Orbifold(genus_code, cones)
         assert euler_number(unit_tangent_invariant(orb)) == chi(orb)
 
     def test_boundary_rejected(self):

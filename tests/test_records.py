@@ -79,10 +79,10 @@ CASES = [
         AlternateFibering("lens_family", None, "note"),
     ),
     (
-        Orbifold(True, 0, (7, 1, 3, 2)),
-        "Orbifold(orientable=True, genus=0, cone_orders=(2, 3, 7), boundary_count=0)",
-        ("orientable", "genus", "cone_orders", "boundary_count"),
-        Orbifold(False, 1, (2, 3, 7)),
+        Orbifold(0, (7, 1, 3, 2)),
+        "Orbifold(genus_code=0, cone_orders=(2, 3, 7), boundary_count=0)",
+        ("genus_code", "cone_orders", "boundary_count"),
+        Orbifold(-1, (2, 3, 7)),
     ),
     (
         EmptyDegrees(),
@@ -240,7 +240,7 @@ class TestDefaults:
         assert SeifertInvariant(0) == SeifertInvariant(0, (), 0)
         assert SeifertInvariant(genus_code=2).pairs == ()
         assert SeifertInvariant(genus_code=2).boundary_count == 0
-        assert Orbifold(orientable=True, genus=1) == Orbifold(True, 1, (), 0)
+        assert Orbifold(genus_code=1) == Orbifold(1, (), 0)
         assert EmptyDegrees().include_zero is False
         assert DegreeProgression(residue=1, modulus=2).include_zero is False
         assert LensClassification(case=Theorem1Case.ALL_HAVE).witness is None
@@ -283,39 +283,28 @@ class TestConstructionChecks:
         with pytest.raises(ValueError, match="boundary count must be an integer"):
             SeifertInvariant(0, (), 1.5)
         with pytest.raises(ValueError, match="cone orders must be integers"):
-            Orbifold(True, 0, (2.9, 3))
-        with pytest.raises(ValueError, match="genus must be an integer"):
-            Orbifold(True, Fraction(1, 2))
+            Orbifold(0, (2.9, 3))
+        with pytest.raises(ValueError, match="genus code must be an integer"):
+            Orbifold(Fraction(1, 2))
         with pytest.raises(ValueError, match="boundary count must be an integer"):
-            Orbifold(True, 0, (), 0.5)
+            Orbifold(0, (), 0.5)
         # integral values of other types become ints
         inv = SeifertInvariant(Fraction(1), (), True)
         assert (inv.genus_code, inv.boundary_count) == (1, 1)
         assert type(inv.genus_code) is int and type(inv.boundary_count) is int
-        assert Orbifold(True, 2.0) == Orbifold(True, 2)
+        assert Orbifold(2.0) == Orbifold(2)
 
     def test_orbifold_checks(self):
-        with pytest.raises(ValueError, match="genus must be non-negative"):
-            Orbifold(True, -1)
-        with pytest.raises(ValueError, match="at least one cross cap"):
-            Orbifold(False, 0)
         with pytest.raises(ValueError, match="boundary count"):
-            Orbifold(True, 0, (), -1)
+            Orbifold(0, (), -1)
         with pytest.raises(ValueError, match="cone orders must be positive"):
-            Orbifold(True, 0, (2, 0))
-
-    def test_orientable_becomes_bool(self):
-        orb = Orbifold(2, 1)
-        assert orb == Orbifold(True, 1)
-        assert hash(orb) == hash(Orbifold(True, 1))
-        assert repr(orb) == "Orbifold(orientable=True, genus=1, cone_orders=(), boundary_count=0)"
-        assert Orbifold(0, 1) == Orbifold(False, 1)
+            Orbifold(0, (2, 0))
 
     def test_cone_orders_sorted_without_ones(self):
-        orb = Orbifold(True, 0, [7, 1, Fraction(3), 2, 1])
+        orb = Orbifold(0, [7, 1, Fraction(3), 2, 1])
         assert orb.cone_orders == (2, 3, 7)
         assert all(type(a) is int for a in orb.cone_orders)
-        assert Orbifold(True, 0, (1, 1)) == Orbifold(True, 0)
+        assert Orbifold(0, (1, 1)) == Orbifold(0)
 
     def test_marked_lens_q_reduced(self):
         assert MarkedLens(5, 7).q == 2
