@@ -17,7 +17,7 @@ import sys
 from .errors import NoHvf, SeifertError
 from .hvf import boundary_tangency
 from .homotopy import homotopy_components
-from .invariant import _fold, alternate_fiberings, euler_number, fiberwise_quotient, normalize
+from .invariant import _euler_ratio, _fold, alternate_fiberings, fiberwise_quotient, normalize
 from .lens import (
     MarkedLens,
     classify_lens,
@@ -40,7 +40,6 @@ from .notation import (
     parse_orbifold,
     print_invariant,
     print_orbifold,
-    rational_str,
 )
 from . import orbifold as orb_mod
 
@@ -76,12 +75,13 @@ def _emit(args, payload: dict, human_lines: list[str]) -> int:
 
 def _cmd_classify_orbifold(args) -> int:
     orb = parse_orbifold(args.orbifold)
-    x = orb_mod.chi(orb)
+    chi_u = orb_mod.chi_underlying(orb)
+    x, p = orb_mod._chi_ratio(chi_u, orb.cone_orders)
     payload = {
         "input": args.orbifold,
         "orbifold": print_orbifold(orb),
-        "chi": rational_str(x),
-        "chi_underlying": orb_mod.chi_underlying(orb),
+        "chi": _ratio_str(x, p),
+        "chi_underlying": chi_u,
         "geometry": None,
         "bad": None,
         "family": None,
@@ -146,7 +146,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_euler(args) -> int:
     inv = parse_invariant(args.invariant)
-    payload = {"input": args.invariant, "euler_number": rational_str(euler_number(inv))}
+    payload = {"input": args.invariant, "euler_number": _ratio_str(*_euler_ratio(inv))}
     return _emit(args, payload, [_rational_text(payload["euler_number"])])
 
 

@@ -28,11 +28,10 @@ form.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from ._record import Record
 from .errors import BoundaryNotSupported
-from .invariant import SeifertInvariant, _chi_underlying, _fold
+from .invariant import SeifertInvariant, _chi_underlying, _fold, _fraction
 
 __all__ = [
     "EmptyDegrees",
@@ -240,7 +239,7 @@ def _decide(inv: SeifertInvariant) -> HvfDecision:
         return HvfDecision(True, tuple(mechanisms), None)
     if isinstance(obstruction, tuple):
         eb, x, p, pin = obstruction
-        obstruction = EulerMismatch(Fraction(-eb, p), Fraction(x, p), pin)
+        obstruction = EulerMismatch(_fraction(-eb, p), _fraction(x, p), pin)
     return HvfDecision(False, (), obstruction)
 
 

@@ -22,7 +22,6 @@ else in this module is phrased in terms of that canonical form.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from ._record import Record, integral
 from .errors import BoundaryNotSupported, MixedBoundary, NotCoprime, ZeroDegree
@@ -45,7 +44,9 @@ class SeifertInvariant(Record):
 
     Every pair needs ``a_i >= 1`` and ``gcd(a_i, b_i) = 1``; violating pairs
     raise NotCoprime with the offending index.  Every number must be
-    integral: ``Fraction(2)`` becomes 2, while 2.5 raises ValueError.
+    integral: ``Fraction(2)`` becomes 2, while 2.5 raises ValueError.  A
+    tuple of pairs of plain ints that passes these checks is stored as
+    given; any other input is converted field by field.
     """
 
     __slots__ = ("genus_code", "pairs", "boundary_count")
@@ -54,27 +55,48 @@ class SeifertInvariant(Record):
     boundary_count: int
 
     def __init__(self, genus_code, pairs=(), boundary_count=0):
-        genus_code = integral(genus_code, "genus code")
-        boundary_count = integral(boundary_count, "boundary count")
-        checked = []
-        for i, (a, b) in enumerate(pairs):
-            ia, ib = int(a), int(b)
-            if ia != a or ib != b:
-                raise ValueError(f"pair {i}: alpha and beta must be integers, not {(a, b)!r}")
-            if ia < 1:
-                raise ValueError(f"pair {i}: alpha must be a positive integer")
-            if math.gcd(ia, ib) != 1:
-                raise NotCoprime(i)
-            checked.append((ia, ib))
-        if boundary_count < 0:
-            raise ValueError("boundary count must be non-negative")
+        if not _plain(genus_code, pairs, boundary_count):
+            # the converting loop, and the only place that raises
+            genus_code = integral(genus_code, "genus code")
+            boundary_count = integral(boundary_count, "boundary count")
+            checked = []
+            for i, (a, b) in enumerate(pairs):
+                ia, ib = int(a), int(b)
+                if ia != a or ib != b:
+                    raise ValueError(f"pair {i}: alpha and beta must be integers, not {(a, b)!r}")
+                if ia < 1:
+                    raise ValueError(f"pair {i}: alpha must be a positive integer")
+                if math.gcd(ia, ib) != 1:
+                    raise NotCoprime(i)
+                checked.append((ia, ib))
+            if boundary_count < 0:
+                raise ValueError("boundary count must be non-negative")
+            pairs = tuple(checked)
         object.__setattr__(self, "genus_code", genus_code)
-        object.__setattr__(self, "pairs", tuple(checked))
+        object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "boundary_count", boundary_count)
 
     @property
     def closed(self) -> bool:
         return self.boundary_count == 0
+
+
+def _plain(genus_code, pairs, boundary_count) -> bool:
+    """Whether the fields pass every check of ``SeifertInvariant`` as they
+    are, so that converting them would change nothing: plain ints (``type(x)
+    is int``, so no bool and no int subclass), a non-negative boundary count,
+    and a tuple of 2-tuples with ``a >= 1`` and ``gcd(a, b) = 1``."""
+    if type(genus_code) is not int or type(boundary_count) is not int or type(pairs) is not tuple:
+        return False
+    if boundary_count < 0:
+        return False
+    for pair in pairs:
+        if type(pair) is not tuple or len(pair) != 2:
+            return False
+        a, b = pair
+        if type(a) is not int or type(b) is not int or a < 1 or math.gcd(a, b) != 1:
+            return False
+    return True
 
 
 class CanonicalForm(Record):
@@ -122,6 +144,21 @@ def equal(a: SeifertInvariant, b: SeifertInvariant) -> bool:
     return normalize(a) == normalize(b)
 
 
+_Fraction = None
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)``, the one way the library builds a Fraction.
+    ``fractions`` is imported on the first call, not with the package, so a
+    query that builds none does not load it.  The class is kept after that:
+    an import statement costs about 0.8 us each time it runs (CPython 3.11),
+    which an Euler mismatch would pay twice."""
+    global _Fraction
+    if _Fraction is None:
+        from fractions import Fraction as _Fraction
+    return _Fraction(num, den)
+
+
 def _chi_underlying(g: int, n: int) -> int:
     """Euler characteristic of the surface of genus code ``g`` with ``n``
     boundary circles, cone points forgotten: ``2 - 2g - n`` when orientable
@@ -154,10 +191,16 @@ def euler_number(inv: SeifertInvariant) -> Fraction:
     the independent integer shifts make it meaningless, so bounded input is
     rejected.
     """
+    return _fraction(*_euler_ratio(inv))
+
+
+def _euler_ratio(inv: SeifertInvariant) -> tuple[int, int]:
+    """The Euler number of a closed fibering as ``(-eb, P)`` off ``_fold``,
+    not in lowest terms; bounded input is rejected as by ``euler_number``."""
     if not inv.closed:
         raise BoundaryNotSupported("Euler number is not defined with boundary")
     eb, _, p = _fold(inv)
-    return Fraction(-eb, p)
+    return -eb, p
 
 
 def reverse_orientation(inv: SeifertInvariant) -> SeifertInvariant:

@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from fractions import Fraction
 
 from .errors import NotALensForm, ParseError
 from .hvf import (

@@ -24,11 +24,10 @@ from __future__ import annotations
 import itertools
 import math
 from enum import Enum
-from fractions import Fraction
 
 from ._record import Record, integral
 from .errors import BoundaryNotSupported
-from .invariant import SeifertInvariant, _chi_underlying
+from .invariant import SeifertInvariant, _chi_underlying, _fraction
 
 __all__ = [
     "Orbifold",
@@ -129,13 +128,20 @@ def chi_underlying(orb: Orbifold) -> int:
     return _chi_underlying(orb.genus_code, orb.boundary_count)
 
 
+def _chi_ratio(chi_u: int, cone_orders) -> tuple[int, int]:
+    """chi of the orbifold whose underlying surface has chi ``chi_u``, as
+    ``(x, P)`` with ``chi = x/P`` over the product P of the cone orders: not
+    in lowest terms, and ``x`` has the sign of chi."""
+    cone, p = 0, 1  # running value of sum(1 - 1/a), over p
+    for a in cone_orders:
+        cone = cone * a + (a - 1) * p
+        p *= a
+    return chi_u * p - cone, p
+
+
 def chi(orb: Orbifold) -> Fraction:
     """Orbifold Euler characteristic, exact."""
-    num, den = 0, 1  # running value of sum(1 - 1/a)
-    for a in orb.cone_orders:
-        num = num * a + (a - 1) * den
-        den *= a
-    return chi_underlying(orb) - Fraction(num, den)
+    return _fraction(*_chi_ratio(chi_underlying(orb), orb.cone_orders))
 
 
 def _require_closed(orb: Orbifold, what: str):

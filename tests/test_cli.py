@@ -365,7 +365,8 @@ class TestOrbifoldsPerQuery:
 class TestValuesPerQuery:
     """Each query computes each value once: normalize prints the canonical
     form it already holds, alternates renders its lines from the payload,
-    and classify-orbifold reads its geometry and badness off the one chi."""
+    and classify-orbifold reads its chi, geometry and badness off one chi of
+    the underlying surface and one integer fold of the cone orders."""
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     @pytest.mark.parametrize(
@@ -391,7 +392,7 @@ class TestValuesPerQuery:
         assert len(calls) == built
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
-    @pytest.mark.parametrize("name", ["chi", "_is_bad"])
+    @pytest.mark.parametrize("name", ["chi_underlying", "_is_bad"])
     def test_classify_orbifold_rules(self, capsys, monkeypatch, name, json_flag):
         from seifert import orbifold
 
@@ -425,6 +426,37 @@ class TestValuesPerQuery:
         assert code == 0, err
         assert calls == []
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["euler", "M(0; (2,-1), (3,-1), (6,5))"],
+            ["euler", "M(0; (2,1), (3,1), (5,1))"],
+            ["classify-orbifold", "2 3 7"],
+            ["classify-orbifold", "2 2 x"],
+        ],
+    )
+    def test_rationals_read_off_integer_folds(self, capsys, monkeypatch, argv, json_flag):
+        from fractions import Fraction
+
+        calls = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            calls.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        code, _, err = run(capsys, *argv, *json_flag)
+        assert code == 0, err
+        assert calls == []
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_euler_rejects_boundary(self, capsys, json_flag):
+        code, out, err = run(capsys, "euler", "M(0, 1; (2,1))", *json_flag)
+        assert (code, out) == (2, "")
+        assert err == "error: Euler number is not defined with boundary\n"
+
 
 class TestImportFootprint:
     def test_cli_import_skips_dataclasses_inspect_traceback(self):
@@ -441,6 +473,27 @@ class TestImportFootprint:
         loaded = set(ast.literal_eval(out))
         assert "seifert.cli" in loaded
         assert not {"dataclasses", "inspect", "traceback"} & loaded
+
+    def test_cli_import_and_field_query_skip_fractions(self):
+        # only euler_number, orbifold.chi and an Euler mismatch build a
+        # Fraction, so neither the import nor an answer with a field loads it
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = (
+            "import sys, seifert.cli\n"
+            "after_import = 'fractions' in sys.modules\n"
+            "code = seifert.cli.main(['hvf', 'M(0; (1,-1), (5,2), (5,2), (5,2))', '--json'])\n"
+            "print(after_import, code, 'fractions' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        report, _, last = out.rstrip().rpartition("\n")
+        assert json.loads(report)["hvf"]["exists"] is True
+        assert last == "False 0 False"
 
 
 

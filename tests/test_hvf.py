@@ -1,9 +1,11 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import bounded_invariants, closed_invariants, inv
+from test_acceptance import canonical_grid
 from seifert import (
     Covering,
     CongruenceClash,
@@ -29,7 +31,7 @@ from seifert import (
     sphere,
     unit_tangent_invariant,
 )
-from seifert.errors import BoundaryNotSupported
+from seifert.errors import BoundaryNotSupported, NotCoprime
 
 
 def brute_degrees(invariant, window):
@@ -276,6 +278,47 @@ def unit_tangent_bundles(draw):
     genus_code = draw(st.integers(-3, 3))
     cones = draw(st.lists(st.integers(2, 9), max_size=4))
     return unit_tangent_invariant(Orbifold(genus_code, cones))
+
+
+class TestCoveringBothWays:
+    def test_allowable_iff_quotient_is_unit_tangent_bundle(self):
+        """The covering mechanism as the paper defines it, in both
+        directions, on criterion 3's grid: for a closed fibering and d != 0,
+        ``allowable_degrees(inv).contains(d)`` holds exactly when
+        ``fiberwise_quotient(inv, d)`` exists (no NotCoprime) and equals the
+        unit tangent bundle of the base.  Closed fiberings only: the unit
+        tangent bundle is defined for closed orbifolds.  The window is
+        ``0 < |d| <= lcm`` of the cone orders, and the same width around the
+        Euler pin chi/e when it is an integer."""
+        start = time.time()
+        checked = points = shared = 0
+        for invariant in canonical_grid(6, 3, range(-6, 7), range(-2, 3)):
+            checked += 1
+            degrees = allowable_degrees(invariant)
+            base = base_orbifold(invariant)
+            target = normalize(unit_tangent_invariant(base))
+            lcm = math.lcm(*(a for a, _ in invariant.pairs))
+            window = set(range(-lcm, lcm + 1))
+            e = euler_number(invariant)
+            pin = chi(base) / e if e else None
+            if pin is not None and pin.denominator == 1:
+                window.update(range(int(pin) - lcm, int(pin) + lcm + 1))
+            window.discard(0)
+            for d in window:
+                points += 1
+                try:
+                    quotient = fiberwise_quotient(invariant, d)
+                except NotCoprime:
+                    # the quotient is not free, and no such d is allowable
+                    assert math.gcd(d, lcm) != 1, (invariant, d)
+                    assert not degrees.contains(d), (invariant, d)
+                    shared += 1
+                    continue
+                covers = normalize(quotient) == target
+                assert covers == degrees.contains(d), (invariant, d)
+        elapsed = time.time() - start
+        assert checked == 364 * 13 * 5
+        print(f"{points} degrees ({shared} not coprime) over {checked} fiberings in {elapsed:.1f}s")
 
 
 class TestCoveringTarget:

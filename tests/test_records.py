@@ -6,10 +6,12 @@ to how the records are implemented cannot change how they behave.
 """
 
 import copy
+import math
 import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seifert import (
     AlternateFibering,
@@ -31,7 +33,7 @@ from seifert import (
     decide_hvf,
     normalize,
 )
-from seifert._record import Record
+from seifert._record import Record, integral
 from seifert.errors import NotCoprime
 
 
@@ -319,6 +321,126 @@ class TestConstructionChecks:
             MarkedLens(4, 2)
         with pytest.raises(NotCoprime):
             MarkedLens(0, 2)
+
+
+def converted_fields(genus_code, pairs=(), boundary_count=0):
+    """The oracle: the fields ``SeifertInvariant`` stored before it took plain
+    int input as given, by its converting loop alone, or the error raised."""
+    genus_code = integral(genus_code, "genus code")
+    boundary_count = integral(boundary_count, "boundary count")
+    checked = []
+    for i, (a, b) in enumerate(pairs):
+        ia, ib = int(a), int(b)
+        if ia != a or ib != b:
+            raise ValueError(f"pair {i}: alpha and beta must be integers, not {(a, b)!r}")
+        if ia < 1:
+            raise ValueError(f"pair {i}: alpha must be a positive integer")
+        if math.gcd(ia, ib) != 1:
+            raise NotCoprime(i)
+        checked.append((ia, ib))
+    if boundary_count < 0:
+        raise ValueError("boundary count must be non-negative")
+    return genus_code, tuple(checked), boundary_count
+
+
+class Count(int):
+    """An int subclass, which the constructor converts like any other type."""
+
+
+def outcome(build, genus_code, pairs, boundary_count, container):
+    """What ``build`` gives for these fields, the pairs passed in the named
+    container, built afresh so that a generator is unspent: its fields, or
+    the type, message and NotCoprime index of its error."""
+    if container == "tuple":
+        pairs = tuple(pairs)
+    elif container == "generator":
+        pairs = (pair for pair in pairs)
+    try:
+        fields = build(genus_code, pairs, boundary_count)
+    except Exception as err:
+        return type(err), str(err), getattr(err, "index", None)
+    if isinstance(fields, SeifertInvariant):
+        fields = (fields.genus_code, fields.pairs, fields.boundary_count)
+    return fields
+
+
+small = st.integers(-3, 12)
+numbers = st.one_of(
+    small,
+    st.booleans(),
+    small.map(Fraction),
+    st.fractions(min_value=-4, max_value=12, max_denominator=4),
+    st.floats(-4, 12).map(round).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+    small.map(Count),
+)
+
+
+def pair_of(values):
+    return st.one_of(
+        st.tuples(values, values),
+        st.tuples(values, values).map(list),
+        st.lists(values, max_size=3).map(tuple),  # often the wrong length
+        values,  # not a pair at all
+    )
+
+
+valid_pairs = st.tuples(st.integers(1, 12), st.integers(-12, 12)).filter(
+    lambda pair: math.gcd(*pair) == 1
+)
+plain_fields = st.tuples(
+    small,
+    st.lists(st.one_of(valid_pairs, st.tuples(small, small)), max_size=5),
+    st.integers(-1, 3),
+    st.just("tuple"),
+)
+
+
+@st.composite
+def nearly_plain_fields(draw):
+    """Fields that pass every check, with one value recast as an equal value
+    of another type and perhaps one pair as a list: only the test for plain
+    ints tells them from plain fields."""
+    pairs = draw(st.lists(valid_pairs, max_size=4))
+    values = [draw(small), *(x for pair in pairs for x in pair), draw(st.integers(0, 3))]
+    k = draw(st.integers(0, len(values) - 1))
+    recast = draw(st.sampled_from([Count, Fraction, float, bool]))
+    if recast is not bool or values[k] in (0, 1):
+        values[k] = recast(values[k])
+    pairs = [tuple(values[i : i + 2]) for i in range(1, len(values) - 1, 2)]
+    if pairs and draw(st.booleans()):
+        j = draw(st.integers(0, len(pairs) - 1))
+        pairs[j] = list(pairs[j])
+    return values[0], pairs, values[-1], "tuple"
+
+
+mixed_fields = st.tuples(
+    numbers,
+    st.lists(pair_of(numbers), max_size=5),
+    numbers,
+    st.sampled_from(["tuple", "list", "generator"]),
+)
+
+
+class TestConstructorParity:
+    """Plain ints are stored as given and anything else is converted: both
+    give the fields and the errors the converting loop alone gives."""
+
+    @settings(max_examples=400)
+    @given(st.one_of(plain_fields, nearly_plain_fields(), mixed_fields))
+    def test_matches_the_converting_loop(self, fields):
+        got = outcome(SeifertInvariant, *fields)
+        assert got == outcome(converted_fields, *fields)
+        if not isinstance(got[0], type):
+            genus_code, pairs, boundary_count = got
+            assert type(genus_code) is int and type(boundary_count) is int
+            assert type(pairs) is tuple
+            assert all(type(p) is tuple and len(p) == 2 for p in pairs)
+            assert all(type(x) is int for p in pairs for x in p)
+
+    def test_plain_pairs_are_stored_as_given(self):
+        pairs = ((1, -1), (5, 2), (5, 2))
+        assert SeifertInvariant(0, pairs).pairs is pairs
 
 
 class TestPatterns:
