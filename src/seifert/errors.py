@@ -1,12 +1,31 @@
 """Exception types shared across the library.
 
-Everything derives from SeifertError (a ValueError), so callers that only
-want a pass/fail split can catch the base class.
+Domain errors derive from SeifertError: malformed notation, a non-coprime
+pair, a zero covering degree, or an operation that does not apply to the
+given fibering.  A malformed argument raises a plain ValueError: a number
+that is not an integer, a non-positive alpha or cone order, a negative
+boundary count, ``p`` or ``max_p``, a search bound outside
+[1, MAX_ENUMERATION_BOUND], a closed invariant given to a bounded-only
+procedure, or a quotient degree too long for the digit budget.  SeifertError
+is a ValueError, so ``except ValueError`` catches both.
 """
+
+__all__ = [
+    "SeifertError",
+    "NotCoprime",
+    "BoundaryNotSupported",
+    "MixedBoundary",
+    "ZeroDegree",
+    "NotALensForm",
+    "IncompatibleCover",
+    "NonOrientedBase",
+    "NoHvf",
+    "ParseError",
+]
 
 
 class SeifertError(ValueError):
-    """Base class for all input and domain errors raised by this library."""
+    """Base class of the library's domain errors; see the module docstring."""
 
 
 class NotCoprime(SeifertError):

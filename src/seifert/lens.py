@@ -248,11 +248,11 @@ MAX_ENUMERATION_BOUND = 200
 
 
 def _check_manifold(p: int, q: int) -> None:
-    """Raise unless ``L(p, q)`` names a manifold by its non-negative ``p``."""
+    """Raise unless ``L(p, q)`` names a manifold by its non-negative ``p``;
+    ``MarkedLens`` refuses a non-coprime pair."""
     if p < 0:
         raise ValueError("p must be non-negative; apply orientation moves first")
-    if math.gcd(p, q) != 1:
-        raise NotCoprime(message=f"p = {p} and q = {q} are not coprime")
+    MarkedLens(p, q)
 
 
 def manifold_markings(p: int, q: int) -> list[tuple[int, int]]:

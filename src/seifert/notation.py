@@ -21,12 +21,13 @@ Invariant grammar:
 
 The leading ``M`` is optional on input, and ASCII whitespace may stand
 around any token.  One compiled pattern, ``_WELL_FORMED``, is the language
-accepted: a text it matches, whose literals fit the digit budget, with
-every alpha >= 1 and boundary >= 0, is read from the pattern's match.  Any
-other text goes to ``_scan_invariant``, the reference parser, which writes
-every positioned ParseError.  Printing always emits the canonical form:
-betas reduced into [0, alpha), pairs sorted, and (for closed invariants)
-the accumulated integer pair ``(1, b)`` first when b != 0.
+accepted, apart from the digit budget and the gcd of each pair: it admits
+only an alpha >= 1 and a boundary count >= 0, and a text it matches whose
+literals fit the budget is read from the match.  Any other text goes to
+``_scan_invariant``, the reference parser, which writes every positioned
+ParseError.  Printing always emits the canonical form: betas reduced into
+[0, alpha), pairs sorted, and (for closed invariants) the accumulated
+integer pair ``(1, b)`` first when b != 0.
 
 The JSON report schema is documented in the README; its field names are a
 frozen contract.  The report reads its base orbifold, geometry, Euler number
@@ -175,12 +176,14 @@ def print_orbifold(orb) -> str:
 
 _W = r"\s*"  # under re.ASCII, \s is exactly _SPACE
 _INTEGER = "-?[0-9]+"
-_PAIR = rf"\({_W}{_INTEGER}{_W},{_W}{_INTEGER}{_W}\)"
+_ALPHA = "0*[1-9][0-9]*"  # at least 1
+_BOUNDARY = "(?:-0+|[0-9]+)"  # at least 0
+_PAIR = rf"\({_W}{_ALPHA}{_W},{_W}{_INTEGER}{_W}\)"
 # No two unbounded repeats that can match the same character stand next to
 # each other (hence "(?:M{_W})?", not "M?{_W}"), so a refusal backtracks in
 # time linear in the text.
 _WELL_FORMED = re.compile(
-    rf"{_W}(?:M{_W})?\({_W}{_INTEGER}{_W}(?P<boundary>,{_W}{_INTEGER}{_W})?;"
+    rf"{_W}(?:M{_W})?\({_W}{_INTEGER}{_W}(?P<boundary>,{_W}{_BOUNDARY}{_W})?;"
     rf"{_W}(?:{_PAIR}(?:{_W},{_W}{_PAIR})*{_W})?\){_W}",
     re.ASCII,
 )
@@ -226,8 +229,8 @@ def parse_invariant(text: str) -> SeifertInvariant:
 
     Structural problems raise ParseError with a position; a pair with
     gcd(a, b) > 1 raises NotCoprime with the pair's index.  A text that
-    ``_WELL_FORMED`` matches and that passes the scanner's checks on the
-    values is read from the match; any other goes to the scanner.
+    ``_WELL_FORMED`` matches is read from the match; any other goes to the
+    scanner.
     """
     # Every digit of a matched text is a literal's, and no text has more
     # digits than characters, so only a longer one is counted: one over the
@@ -239,9 +242,7 @@ def parse_invariant(text: str) -> SeifertInvariant:
         if m is not None:
             genus_code, *values = map(int, _LITERAL.findall(text))
             boundary = values.pop(0) if m["boundary"] else 0
-            alphas = values[::2]
-            if boundary >= 0 and min(alphas, default=1) >= 1:
-                return SeifertInvariant(genus_code, tuple(zip(alphas, values[1::2])), boundary)
+            return SeifertInvariant(genus_code, tuple(zip(values[::2], values[1::2])), boundary)
     return _scan_invariant(text)
 
 

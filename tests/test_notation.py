@@ -292,12 +292,16 @@ class TestWellFormedPattern:
         return texts
 
     def test_matches_scanner(self):
+        budget = notation._digit_budget()
         for text in self.corpus():
             scanned = _outcome(notation._scan_invariant, text)
             assert _outcome(parse_invariant, text) == scanned, text
             if not isinstance(scanned, tuple) or scanned[0] is NotCoprime:
                 # what the scanner reads takes the pattern's path
                 assert notation._WELL_FORMED.fullmatch(text), text
+            elif sum(map(text.count, "0123456789")) <= budget:
+                # and what the pattern takes within the budget, the scanner reads
+                assert not notation._WELL_FORMED.fullmatch(text), text
 
     def test_over_budget_text_not_matched(self, monkeypatch):
         # its digits are counted first, so the pattern never scans it
