@@ -7,6 +7,8 @@ reversal, and the congruence class of covering degrees.
 
 from seifert import (
     allowable_degrees,
+    degree_set_json,
+    degree_set_str,
     equal,
     klein_bottle,
     print_invariant,
@@ -17,7 +19,6 @@ from seifert import (
     torus,
     unit_tangent_invariant,
 )
-from seifert.notation import degree_set_json, degree_set_str
 
 BASES = [
     torus(),

@@ -12,9 +12,10 @@ tangent to the fibers.  Such a field exists exactly when either
 The covering degrees form the "allowable degree set" D computed here: each
 exceptional fiber imposes ``d * b_i = -1 (mod a_i)``, and for a closed
 fibering the Euler numbers pin ``d * e = chi``.  With boundary, the Euler
-condition disappears and only the congruences remain.  Every decision folds
-the congruences into one class ``d = r (mod m)``, pair by pair in input
-order, with one modular inverse per pair.  When a pair contradicts the
+condition disappears and only the congruences remain, so one function,
+``decide_hvf``, decides closed and bounded fiberings alike.  Every decision
+folds the congruences into one class ``d = r (mod m)``, pair by pair in
+input order, with one modular inverse per pair.  When a pair contradicts the
 class, a gcd test on the earlier pairs names the first one that contradicts
 it on its own.  The Euler pin is integer arithmetic: multiplied by the
 product P of the alphas, ``d * e = chi`` reads ``d * -sum(b_i P/a_i) =
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .errors import BoundaryNotSupported
 from .invariant import SeifertInvariant, _chi_underlying, _fold, _fraction
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "HvfDecision",
     "allowable_degrees",
     "decide_hvf",
-    "decide_hvf_boundary",
     "boundary_tangency",
 ]
 
@@ -179,7 +178,7 @@ def _solve(inv: SeifertInvariant):
     """The degree set of ``inv``, with the first failed condition when the
     set is empty: a CongruenceClash, or an Euler mismatch as the integers
     ``(eb, x, P, pin)`` of ``d * -eb = x`` over the product P of the alphas,
-    which only ``_decide`` turns into an EulerMismatch, and only when no
+    which only ``decide_hvf`` turns into an EulerMismatch, and only when no
     field exists."""
     merged, clash = _merge_congruences(inv.pairs)
     if merged is None:
@@ -213,8 +212,8 @@ def allowable_degrees(inv: SeifertInvariant) -> DegreeSet:
     return _solve(inv)[0]
 
 
-def _decide(inv: SeifertInvariant) -> HvfDecision:
-    """The one decision rule, closed or bounded.
+def decide_hvf(inv: SeifertInvariant) -> HvfDecision:
+    """Decide existence of a horizontal vector field, closed or bounded.
 
     The section mechanism needs a bare base surface that carries a
     nowhere-zero vector field: any bounded one, or chi = 0 when closed (the
@@ -241,25 +240,6 @@ def _decide(inv: SeifertInvariant) -> HvfDecision:
         eb, x, p, pin = obstruction
         obstruction = EulerMismatch(_fraction(-eb, p), _fraction(x, p), pin)
     return HvfDecision(False, (), obstruction)
-
-
-def decide_hvf(inv: SeifertInvariant) -> HvfDecision:
-    """Decide existence of a horizontal vector field on a closed fibering."""
-    if not inv.closed:
-        raise BoundaryNotSupported("use decide_hvf_boundary for bounded fiberings")
-    return _decide(inv)
-
-
-def decide_hvf_boundary(inv: SeifertInvariant) -> HvfDecision:
-    """Decide existence for a fibering with boundary.
-
-    Any bounded surface base carries a nowhere-zero vector field, so the
-    section mechanism needs only the absence of cone points; the covering
-    mechanism needs only the degree congruences (no Euler condition).
-    """
-    if inv.closed:
-        raise ValueError("invariant has no boundary; use decide_hvf")
-    return _decide(inv)
 
 
 def boundary_tangency(inv: SeifertInvariant) -> bool:

@@ -244,6 +244,14 @@ def _flip(a: int, b: int) -> tuple[int, int]:
     return (b, a) if b > 0 else (-b, -a)
 
 
+# The unit tangent bundles of the 2222 orbifold and of the Klein bottle, by
+# canonical (genus code, pairs, b): the other one and the names of both bases.
+_KLEIN_UT = {
+    (0, ((2, 1),) * 4, -2): (SeifertInvariant(-2), "2222 orbifold", "Klein bottle"),
+    (-2, (), 0): (SeifertInvariant(0, ((1, -2),) + ((2, 1),) * 4), "Klein bottle", "2222 orbifold"),
+}
+
+
 def alternate_fiberings(inv: SeifertInvariant) -> list[AlternateFibering]:
     """Other fiberings of the same closed oriented manifold, if any.
 
@@ -264,60 +272,34 @@ def alternate_fiberings(inv: SeifertInvariant) -> list[AlternateFibering]:
     if not inv.closed:
         raise BoundaryNotSupported("alternate fiberings are cataloged for closed fiberings")
     cf = normalize(inv)
+    g, pairs = cf.genus_code, cf.pairs
     out: list[AlternateFibering] = []
-
-    if cf.genus_code == 0:
-        pairs = cf.pairs
-        # (0; (2,1), (2,-1), (a3,b3)) with the third pair read off canonically
-        if len(pairs) in (2, 3) and pairs[0] == (2, 1) and pairs[1] == (2, 1):
-            a3, c3 = pairs[2] if len(pairs) == 3 else (1, 0)
-            b3 = c3 + (cf.b + 1) * a3
-            if b3 != 0:
-                dual = SeifertInvariant(-1, (_flip(a3, b3),))
-                out.append(
-                    AlternateFibering(
-                        "lens_dual",
-                        dual,
-                        "the same manifold also fibers over a non-orientable base",
-                    )
-                )
-        if pairs == ((2, 1), (2, 1), (2, 1), (2, 1)) and cf.b == -2:
-            out.append(
-                AlternateFibering(
-                    "klein_ut",
-                    SeifertInvariant(-2),
-                    "unit tangent bundle of the 2222 orbifold; diffeomorphic as a "
-                    "manifold to the unit tangent bundle of the Klein bottle",
-                )
-            )
-        if len(pairs) <= 2:
-            out.append(
-                AlternateFibering(
-                    "lens_family",
-                    None,
-                    "fibered marked lens space; the manifold carries infinitely many "
-                    "fiberings (see lens.enumerate_lens_fiberings)",
-                )
-            )
-    elif cf.genus_code == -1 and len(cf.pairs) <= 1:
-        a1, c1 = cf.pairs[0] if cf.pairs else (1, 0)
-        b1 = c1 + cf.b * a1
-        if b1 != 0:
-            dual = SeifertInvariant(0, ((2, 1), (2, -1), _flip(a1, b1)))
-            out.append(
-                AlternateFibering(
-                    "lens_dual",
-                    dual,
-                    "the same manifold also fibers over a genus-0 base",
-                )
-            )
-    elif cf.genus_code == -2 and not cf.pairs and cf.b == 0:
-        out.append(
-            AlternateFibering(
-                "klein_ut",
-                SeifertInvariant(0, ((1, -2), (2, 1), (2, 1), (2, 1), (2, 1))),
-                "unit tangent bundle of the Klein bottle; diffeomorphic as a "
-                "manifold to the unit tangent bundle of the 2222 orbifold",
-            )
+    # the duality, read on either side: on the genus-0 side (2,1), (2,1)
+    # with shift b is (2,1), (2,-1) with shift b + 1
+    rest = None
+    if g == 0 and pairs[:2] == ((2, 1), (2, 1)):
+        rest, shift, head, side = pairs[2:], cf.b + 1, (), "a non-orientable base"
+    elif g == -1:
+        rest, shift, head, side = pairs, cf.b, ((2, 1), (2, -1)), "a genus-0 base"
+    if rest is not None and len(rest) <= 1:
+        a, c = rest[0] if rest else (1, 0)
+        b = c + shift * a  # the remaining ratio b/a, with the shift
+        if b:
+            # genus codes 0 and -1 trade places
+            dual = SeifertInvariant(-1 - g, head + (_flip(a, b),))
+            note = f"the same manifold also fibers over {side}"
+            out.append(AlternateFibering("lens_dual", dual, note))
+    if (g, pairs, cf.b) in _KLEIN_UT:
+        partner, base, other = _KLEIN_UT[g, pairs, cf.b]
+        note = (
+            f"unit tangent bundle of the {base}; diffeomorphic as a manifold to the "
+            f"unit tangent bundle of the {other}"
         )
+        out.append(AlternateFibering("klein_ut", partner, note))
+    if g == 0 and len(pairs) <= 2:
+        note = (
+            "fibered marked lens space; the manifold carries infinitely many "
+            "fiberings (see lens.enumerate_lens_fiberings)"
+        )
+        out.append(AlternateFibering("lens_family", None, note))
     return out

@@ -20,10 +20,12 @@ Invariant grammar:
     M(g, n; (a1,b1), ...)              n boundary circles
 
 The leading ``M`` is optional on input, and ASCII whitespace may stand
-around any token.  One compiled pattern, ``_WELL_FORMED``, is the language
-accepted, apart from the digit budget and the gcd of each pair: it admits
-only an alpha >= 1 and a boundary count >= 0, and a text it matches whose
-literals fit the budget is read from the match.  Any other text goes to
+around any token.  The base orbifold prints one token per unit of the
+genus code, so its absolute value is bounded by the digit budget.  One
+compiled pattern, ``_WELL_FORMED``, is the language accepted, apart from the
+digit budget, the genus bound and the gcd of each pair: it admits only an
+alpha >= 1 and a boundary count >= 0, and a text it matches within the
+budget and the bound is read from the match.  Any other text goes to
 ``_scan_invariant``, the reference parser, which writes every positioned
 ParseError.  Printing always emits the canonical form: betas reduced into
 [0, alpha), pairs sorted, and (for closed invariants) the accumulated
@@ -51,7 +53,6 @@ from .hvf import (
     HvfDecision,
     SingleDegree,
     decide_hvf,
-    decide_hvf_boundary,
 )
 from .homotopy import ComponentCatalog, _catalog
 from .invariant import CanonicalForm, SeifertInvariant, _fold, normalize
@@ -210,13 +211,14 @@ class _Scanner:
             raise ParseError(f"expected {char!r}", self.pos)
         self.pos += 1
 
-    def integer(self) -> int:
+    def integer(self) -> tuple[int, int]:
+        """The next integer literal's value and the position it starts at."""
         self._skip_space()
         m = _LITERAL.match(self.text, self.pos)
         if not m:
             raise ParseError("expected an integer", self.pos)
         self.pos = m.end()
-        return self.literals.read(m.group(), m.start())
+        return self.literals.read(m.group(), m.start()), m.start()
 
     def end(self):
         self._skip_space()
@@ -241,8 +243,10 @@ def parse_invariant(text: str) -> SeifertInvariant:
         m = _WELL_FORMED.fullmatch(text)
         if m is not None:
             genus_code, *values = map(int, _LITERAL.findall(text))
-            boundary = values.pop(0) if m["boundary"] else 0
-            return SeifertInvariant(genus_code, tuple(zip(values[::2], values[1::2])), boundary)
+            if -budget <= genus_code <= budget:
+                boundary = values.pop(0) if m["boundary"] else 0
+                pairs = tuple(zip(values[::2], values[1::2]))
+                return SeifertInvariant(genus_code, pairs, boundary)
     return _scan_invariant(text)
 
 
@@ -253,12 +257,13 @@ def _scan_invariant(text: str) -> SeifertInvariant:
     if s.peek() == "M":
         s.pos += 1
     s.expect("(")
-    genus_code = s.integer()
+    genus_code, at = s.integer()
+    if abs(genus_code) > _digit_budget():
+        raise ParseError("invariant too large", at)
     boundary = 0
     if s.peek() == ",":
         s.expect(",")
-        at = s.pos
-        boundary = s.integer()
+        boundary, at = s.integer()
         if boundary < 0:
             raise ParseError("boundary count must be non-negative", at)
     s.expect(";")
@@ -267,12 +272,11 @@ def _scan_invariant(text: str) -> SeifertInvariant:
         if pairs:
             s.expect(",")
         s.expect("(")
-        at = s.pos
-        a = s.integer()
+        a, at = s.integer()
         if a < 1:
             raise ParseError("alpha must be a positive integer", at)
         s.expect(",")
-        b = s.integer()
+        b, _ = s.integer()
         s.expect(")")
         pairs.append((a, b))
     s.expect(")")
@@ -405,20 +409,13 @@ def invariant_report(text: str, inv: SeifertInvariant) -> dict:
     cf = normalize(inv)
     cones = [a for a, _ in cf.pairs]
     eb, x, p = _fold(inv)
-    if inv.closed:
-        geometry = orb_mod._geometry(inv.genus_code, cones, x).value
-        euler = _ratio_str(-eb, p)
-        decision = decide_hvf(inv)
-    else:
-        geometry = None
-        euler = None
-        decision = decide_hvf_boundary(inv)
+    decision = decide_hvf(inv)
     report = {
         "input": text,
         "normalized_invariant": _canonical_text(cf),
         "base_orbifold": _orbifold_text(inv.genus_code, cones, inv.boundary_count),
-        "geometry": geometry,
-        "euler_number": euler,
+        "geometry": orb_mod._geometry(inv.genus_code, cones, x).value if inv.closed else None,
+        "euler_number": _ratio_str(-eb, p) if inv.closed else None,
         "chi": _ratio_str(x, p),
         "hvf": decision_json(decision),
     }

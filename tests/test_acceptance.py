@@ -344,105 +344,46 @@ def _check_theorem1(max_p, bound):
     return cases
 
 
-def test_criterion_07_lens_classification_end_to_end():
+def _criterion_07(max_p, bound, **counts):
+    """Criterion 7 for every L(p, q) with p <= max_p at this bound, within
+    60 s, with the case counts pinned when ``counts`` are given.  From p <= 48
+    on, the bound max_p/2 is at least p/2 for every p."""
     start = time.time()
-    cases = _check_theorem1(12, 12)
+    cases = {c.value: n for c, n in _check_theorem1(max_p, bound).items()}
     elapsed = time.time() - start
     assert elapsed < 60
+    if counts:
+        assert cases == counts
     report(
         7,
-        "classification verified against enumerated fiberings for p <= 12 "
-        f"({ {c.value: n for c, n in cases.items()} }) in {elapsed:.1f}s",
+        f"classification verified against enumerated fiberings for p <= {max_p} "
+        f"at bound {bound} ({cases}) in {elapsed:.1f}s",
     )
+
+
+def test_criterion_07_lens_classification_end_to_end():
+    _criterion_07(12, 12)
 
 
 def test_criterion_07_lens_classification_wide_range():
-    start = time.time()
-    cases = _check_theorem1(32, 16)
-    elapsed = time.time() - start
-    assert elapsed < 60
-    report(
-        7,
-        "classification verified against enumerated fiberings for p <= 32 "
-        f"at bound 16 ({ {c.value: n for c, n in cases.items()} }) in {elapsed:.1f}s",
-    )
+    _criterion_07(32, 16)
 
 
 def test_criterion_07_lens_classification_p48():
-    # bound 24 is at least p/2 for every p <= 48; at bound 16, L(33, 1) has
-    # no fibering with all coefficients in range
-    start = time.time()
-    cases = _check_theorem1(48, 24)
-    elapsed = time.time() - start
-    assert elapsed < 60
-    assert {c.value: n for c, n in cases.items()} == {
-        "all_have": 2,
-        "mixed_infinite": 92,
-        "exactly_one": 22,
-        "none_have": 597,
-    }
-    report(
-        7,
-        "classification verified against enumerated fiberings for p <= 48 "
-        f"at bound 24 ({ {c.value: n for c, n in cases.items()} }) in {elapsed:.1f}s",
-    )
+    # at bound 16, L(33, 1) has no fibering with all coefficients in range
+    _criterion_07(48, 24, all_have=2, mixed_infinite=92, exactly_one=22, none_have=597)
 
 
 def test_criterion_07_lens_classification_p64():
-    # bound 32 is at least p/2 for every p <= 64
-    start = time.time()
-    cases = _check_theorem1(64, 32)
-    elapsed = time.time() - start
-    assert elapsed < 60
-    assert {c.value: n for c, n in cases.items()} == {
-        "all_have": 2,
-        "mixed_infinite": 124,
-        "exactly_one": 30,
-        "none_have": 1105,
-    }
-    report(
-        7,
-        "classification verified against enumerated fiberings for p <= 64 "
-        f"at bound 32 ({ {c.value: n for c, n in cases.items()} }) in {elapsed:.1f}s",
-    )
+    _criterion_07(64, 32, all_have=2, mixed_infinite=124, exactly_one=30, none_have=1105)
 
 
 def test_criterion_07_lens_classification_p80():
-    # bound 40 is at least p/2 for every p <= 80
-    start = time.time()
-    cases = _check_theorem1(80, 40)
-    elapsed = time.time() - start
-    assert elapsed < 60
-    assert {c.value: n for c, n in cases.items()} == {
-        "all_have": 2,
-        "mixed_infinite": 156,
-        "exactly_one": 38,
-        "none_have": 1771,
-    }
-    report(
-        7,
-        "classification verified against enumerated fiberings for p <= 80 "
-        f"at bound 40 ({ {c.value: n for c, n in cases.items()} }) in {elapsed:.1f}s",
-    )
+    _criterion_07(80, 40, all_have=2, mixed_infinite=156, exactly_one=38, none_have=1771)
 
 
 def test_criterion_07_lens_classification_p128():
-    # bound 64 is at least p/2 for every p <= 128
-    start = time.time()
-    cases = _check_theorem1(128, 64)
-    elapsed = time.time() - start
-    assert elapsed < 60
-    assert {c.value: n for c, n in cases.items()} == {
-        "all_have": 2,
-        "mixed_infinite": 252,
-        "exactly_one": 62,
-        "none_have": 4707,
-    }
-    report(
-        7,
-        "classification verified against enumerated fiberings for p <= 128 "
-        f"at bound 64 ({ {c.value: n for c, n in cases.items()} }) in {elapsed:.1f}s",
-    )
+    _criterion_07(128, 64, all_have=2, mixed_infinite=252, exactly_one=62, none_have=4707)
 
 
 # --------------------------------------------------------------------------

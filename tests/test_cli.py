@@ -236,6 +236,26 @@ class TestExitCodes:
         assert err == "error: invariant too large (at position 5)\n"
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_genus_code_too_large(self, capsys, json_flag):
+        # the base orbifold prints one token per unit of the genus code: at
+        # the digit budget it prints, past it the query is refused at once
+        budget = (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) // 2
+        for g in (budget, -budget):
+            code, out, err = run(capsys, "hvf", f"M({g};)", *json_flag)
+            assert (code, err) == (0, "")
+            assert ("x " if g < 0 else "o ") * (budget - 1) in out
+            code, out, err = run(capsys, "boundary-hvf", f"M({g}, 1;)", *json_flag)
+            assert (code, err) == (0, "")
+        for g in (budget + 1, -budget - 1):
+            for argv in (["hvf", f"M({g};)"], ["boundary-hvf", f"M({g}, 1;)"]):
+                code, out, err = run(capsys, *argv, *json_flag)
+                assert (code, out, err) == (2, "", "error: invariant too large (at position 2)\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hvf", "M(1000000000;)", *json_flag)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", "error: invariant too large (at position 2)\n")
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_quotient_degree_too_large(self, capsys, json_flag):
         # the degree multiplies every beta, so its digits count against the
         # description's budget: at the budget the quotient prints, past it
@@ -1708,6 +1728,144 @@ euler number: 1/3
 {
   "input": "M(0; (2,-1), (3,-1), (6,5))",
   "euler_number": "0/1"
+}
+""",
+    ),
+    # alternates: the duality read from the projective-plane side
+    (
+        ['alternates', 'M(-1; (2,-1))'],
+        """\
+lens_dual: M(0; (1,-3), (2,1), (2,1)) -- the same manifold also fibers over a genus-0 base
+""",
+    ),
+    (
+        ['alternates', 'M(-1; (2,-1))', '--json'],
+        """\
+{
+  "input": "M(-1; (2,-1))",
+  "invariant": "M(-1; (1,-1), (2,1))",
+  "alternates": [
+    {
+      "kind": "lens_dual",
+      "invariant": "M(0; (1,-3), (2,1), (2,1))",
+      "note": "the same manifold also fibers over a genus-0 base"
+    }
+  ]
+}
+""",
+    ),
+    # alternates: the duality from the genus-0 side, and the lens family
+    (
+        ['alternates', 'M(0; (2,1), (2,3))'],
+        """\
+lens_dual: M(-1; (2,1)) -- the same manifold also fibers over a non-orientable base
+lens_family: (family) -- fibered marked lens space; the manifold carries infinitely many fiberings (see lens.enumerate_lens_fiberings)
+""",
+    ),
+    (
+        ['alternates', 'M(0; (2,1), (2,3))', '--json'],
+        """\
+{
+  "input": "M(0; (2,1), (2,3))",
+  "invariant": "M(0; (1,1), (2,1), (2,1))",
+  "alternates": [
+    {
+      "kind": "lens_dual",
+      "invariant": "M(-1; (2,1))",
+      "note": "the same manifold also fibers over a non-orientable base"
+    },
+    {
+      "kind": "lens_family",
+      "invariant": null,
+      "note": "fibered marked lens space; the manifold carries infinitely many fiberings (see lens.enumerate_lens_fiberings)"
+    }
+  ]
+}
+""",
+    ),
+    # alternates: the unit tangent bundle of 2222
+    (
+        ['alternates', 'M(0; (2,1), (2,1), (2,-1), (2,-1))'],
+        """\
+klein_ut: M(-2;) -- unit tangent bundle of the 2222 orbifold; diffeomorphic as a manifold to the unit tangent bundle of the Klein bottle
+""",
+    ),
+    (
+        ['alternates', 'M(0; (2,1), (2,1), (2,-1), (2,-1))', '--json'],
+        """\
+{
+  "input": "M(0; (2,1), (2,1), (2,-1), (2,-1))",
+  "invariant": "M(0; (1,-2), (2,1), (2,1), (2,1), (2,1))",
+  "alternates": [
+    {
+      "kind": "klein_ut",
+      "invariant": "M(-2;)",
+      "note": "unit tangent bundle of the 2222 orbifold; diffeomorphic as a manifold to the unit tangent bundle of the Klein bottle"
+    }
+  ]
+}
+""",
+    ),
+    # alternates: the unit tangent bundle of the Klein bottle
+    (
+        ['alternates', 'M(-2;)'],
+        """\
+klein_ut: M(0; (1,-2), (2,1), (2,1), (2,1), (2,1)) -- unit tangent bundle of the Klein bottle; diffeomorphic as a manifold to the unit tangent bundle of the 2222 orbifold
+""",
+    ),
+    (
+        ['alternates', 'M(-2;)', '--json'],
+        """\
+{
+  "input": "M(-2;)",
+  "invariant": "M(-2;)",
+  "alternates": [
+    {
+      "kind": "klein_ut",
+      "invariant": "M(0; (1,-2), (2,1), (2,1), (2,1), (2,1))",
+      "note": "unit tangent bundle of the Klein bottle; diffeomorphic as a manifold to the unit tangent bundle of the 2222 orbifold"
+    }
+  ]
+}
+""",
+    ),
+    # alternates: a prism manifold
+    (
+        ['alternates', 'M(0; (2,1), (2,-1), (5,-1))'],
+        """\
+lens_dual: M(-1; (1,-5)) -- the same manifold also fibers over a non-orientable base
+""",
+    ),
+    (
+        ['alternates', 'M(0; (2,1), (2,-1), (5,-1))', '--json'],
+        """\
+{
+  "input": "M(0; (2,1), (2,-1), (5,-1))",
+  "invariant": "M(0; (1,-2), (2,1), (2,1), (5,4))",
+  "alternates": [
+    {
+      "kind": "lens_dual",
+      "invariant": "M(-1; (1,-5))",
+      "note": "the same manifold also fibers over a non-orientable base"
+    }
+  ]
+}
+""",
+    ),
+    # alternates: a unique fibering
+    (
+        ['alternates', 'M(0; (2,-1), (3,-1), (7,-1), (1,1))'],
+        """\
+unique fibering of its manifold
+""",
+    ),
+    (
+        ['alternates', 'M(0; (2,-1), (3,-1), (7,-1), (1,1))', '--json'],
+        """\
+{
+  "input": "M(0; (2,-1), (3,-1), (7,-1), (1,1))",
+  "invariant": "M(0; (1,-2), (2,1), (3,2), (7,6))",
+  "alternates": []
 }
 """,
     ),

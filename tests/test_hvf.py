@@ -22,7 +22,6 @@ from seifert import (
     chi,
     chi_underlying,
     decide_hvf,
-    decide_hvf_boundary,
     equal,
     euler_number,
     fiberwise_quotient,
@@ -31,7 +30,7 @@ from seifert import (
     sphere,
     unit_tangent_invariant,
 )
-from seifert.errors import BoundaryNotSupported, NotCoprime
+from seifert.errors import NotCoprime
 
 
 def brute_degrees(invariant, window):
@@ -149,10 +148,6 @@ class TestDecideHvf:
         (mech,) = decide_hvf(invariant).mechanisms
         assert equal(mech.target, unit_tangent_invariant(sphere(5, 5, 5)))
 
-    def test_boundary_rejected(self):
-        with pytest.raises(BoundaryNotSupported):
-            decide_hvf(inv(0, boundary=1))
-
     @given(closed_invariants(max_pairs=3, max_alpha=6, max_beta=6))
     def test_covering_witness(self, invariant):
         # every small allowable degree exhibits the fiberwise covering onto
@@ -209,30 +204,26 @@ class TestIntegerPin:
 
 class TestDecideHvfBoundary:
     def test_clash_means_no_field(self):
-        decision = decide_hvf_boundary(inv(0, (3, 1), (3, 2), boundary=1))
+        decision = decide_hvf(inv(0, (3, 1), (3, 2), boundary=1))
         assert not decision.exists
         assert decision.obstruction == CongruenceClash(0, 1)
 
     def test_annulus_section(self):
-        decision = decide_hvf_boundary(inv(0, boundary=2))
+        decision = decide_hvf(inv(0, boundary=2))
         assert decision.exists
         assert any(isinstance(m, SurfaceSection) for m in decision.mechanisms)
 
     def test_congruences_alone_decide(self):
-        decision = decide_hvf_boundary(inv(0, (3, 1), (3, 1), boundary=1))
+        decision = decide_hvf(inv(0, (3, 1), (3, 1), boundary=1))
         assert decision.exists
         (mech,) = decision.mechanisms
         assert mech.degrees == DegreeProgression(2, 3)
         # d = 2 satisfies the raw conditions, confirmed by scanning 1..6
         assert brute_degrees(inv(0, (3, 1), (3, 1), boundary=1), range(1, 7)) == {2, 5}
 
-    def test_closed_rejected(self):
-        with pytest.raises(ValueError):
-            decide_hvf_boundary(inv(0))
-
     @given(bounded_invariants(max_pairs=3, max_alpha=6, max_beta=6))
     def test_exists_iff_section_or_congruences(self, invariant):
-        decision = decide_hvf_boundary(invariant)
+        decision = decide_hvf(invariant)
         base = base_orbifold(invariant)
         lcm = math.lcm(*(a for a, _ in invariant.pairs), 1)
         solvable = bool(brute_degrees(invariant, range(-3 * lcm, 3 * lcm + 1)))
@@ -240,8 +231,9 @@ class TestDecideHvfBoundary:
 
 
 class TestDecisionBody:
-    """Both deciders apply one rule: the section needs a bare base surface
-    with a nowhere-zero field, the covering the unit tangent target."""
+    """Closed and bounded decisions apply one rule: the section needs a bare
+    base surface with a nowhere-zero field, the covering the unit tangent
+    target."""
 
     @given(closed_invariants(max_pairs=3, max_alpha=6, max_beta=6))
     def test_closed_section_iff_torus_or_klein_bottle(self, invariant):
@@ -252,7 +244,7 @@ class TestDecisionBody:
 
     @given(bounded_invariants(max_pairs=3, max_alpha=6, max_beta=6))
     def test_bounded_section_iff_no_cone_points(self, invariant):
-        decision = decide_hvf_boundary(invariant)
+        decision = decide_hvf(invariant)
         expected = not base_orbifold(invariant).cone_orders
         assert (SurfaceSection() in decision.mechanisms) == expected
 
@@ -260,7 +252,7 @@ class TestDecisionBody:
     def test_bounded_covering_witness(self, invariant):
         # bounded twin of TestDecideHvf.test_covering_witness: every small
         # covering degree exhibits the fiberwise covering onto the target
-        covering = [m for m in decide_hvf_boundary(invariant).mechanisms if isinstance(m, Covering)]
+        covering = [m for m in decide_hvf(invariant).mechanisms if isinstance(m, Covering)]
         if not covering:
             return
         (mech,) = covering
@@ -328,8 +320,7 @@ class TestCoveringTarget:
     @settings(max_examples=300)
     @given(st.one_of(closed_invariants(), bounded_invariants(), unit_tangent_bundles()))
     def test_target_is_normalized_unit_tangent_bundle(self, invariant):
-        decide = decide_hvf if invariant.closed else decide_hvf_boundary
-        covering = [m for m in decide(invariant).mechanisms if isinstance(m, Covering)]
+        covering = [m for m in decide_hvf(invariant).mechanisms if isinstance(m, Covering)]
         if not covering:
             return
         (mech,) = covering
@@ -386,7 +377,7 @@ class TestClashIndices:
     @settings(max_examples=300)
     @given(clash_prone_pairs(), st.integers(1, 2))
     def test_boundary_matches_oracle(self, pairs, boundary):
-        decision = decide_hvf_boundary(inv(0, *pairs, boundary=boundary))
+        decision = decide_hvf(inv(0, *pairs, boundary=boundary))
         expected = brute_clash(pairs)
         assert decision.obstruction == expected
         assert decision.exists == (expected is None)
@@ -425,10 +416,9 @@ class TestOneSurfaceRule:
         if invariant.closed:
             with pytest.raises(ValueError):
                 boundary_tangency(invariant)
-            decision = decide_hvf(invariant)
         else:
             assert boundary_tangency(invariant) == (bare and (g, n) in ((0, 2), (-1, 1)))
-            decision = decide_hvf_boundary(invariant)
+        decision = decide_hvf(invariant)
         section = bare and (not invariant.closed or g in (1, -2))
         assert (SurfaceSection() in decision.mechanisms) == section
 

@@ -27,7 +27,7 @@ from seifert import (
 )
 from seifert import notation
 from seifert.errors import NotCoprime, ParseError
-from seifert.hvf import Covering, decide_hvf, decide_hvf_boundary
+from seifert.hvf import Covering, decide_hvf
 from seifert.notation import rational_str
 
 
@@ -181,12 +181,15 @@ class TestParseInvariant:
         assert exc.value.index == 0
 
     def test_zero_alpha(self):
-        with pytest.raises(ParseError):
-            parse_invariant("M(0; (0,1))")
+        # a value error points at its literal, past the whitespace before it
+        with pytest.raises(ParseError) as exc:
+            parse_invariant("M(0; ( 0,1))")
+        assert str(exc.value) == "alpha must be a positive integer (at position 7)"
 
     def test_negative_boundary(self):
-        with pytest.raises(ParseError):
-            parse_invariant("M(0, -1; (2,1))")
+        with pytest.raises(ParseError) as exc:
+            parse_invariant("M(0,\t-1; (2,1))")
+        assert str(exc.value) == "boundary count must be non-negative (at position 5)"
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
@@ -229,6 +232,20 @@ class TestParseInvariant:
         with pytest.raises(ParseError) as exc:
             parse_invariant(text.replace(",1))", ",11))"))
         assert str(exc.value) == f"invariant too large (at position {text.index(',1))') + 1})"
+
+    def test_genus_code_too_large(self):
+        # the base orbifold prints one token per unit of the genus code, so
+        # the code is bounded by the digit budget, at its literal's start
+        budget = notation._digit_budget()
+        for g in (budget, -budget):
+            for parse in (parse_invariant, notation._scan_invariant):
+                assert parse(f"M({g}, 1; (2,1))") == SeifertInvariant(g, ((2, 1),), 1)
+                assert parse(f"M({g};)") == SeifertInvariant(g)
+        for g in (budget + 1, -budget - 1, 10**9):
+            for parse in (parse_invariant, notation._scan_invariant):
+                with pytest.raises(ParseError) as exc:
+                    parse(f"M( {g}, 1; (2,1))")
+                assert str(exc.value) == "invariant too large (at position 3)"
 
     def test_over_budget_literal_not_converted(self, conversions_without_limit):
         with pytest.raises(ParseError) as exc:
@@ -289,18 +306,26 @@ class TestWellFormedPattern:
         for digits in (budget - 4, budget - 3, budget - 2, budget, budget + 1, limit, limit + 1):
             seven = "7" * max(digits, 1)
             texts += [f"M(0; (1,{seven}))", f"M(0; (1,-{seven}))", f"M(-1, 1; ({seven},2))"]
+        for g in (budget, budget + 1, -budget, -budget - 1):
+            texts += [f"M({g};)", f"M({g}, 1; (2,1))", f" ( {g} ; (0,1))"]
         return texts
 
     def test_matches_scanner(self):
         budget = notation._digit_budget()
+
+        def too_large(outcome):
+            return outcome[0] is ParseError and outcome[1].startswith("invariant too large")
+
         for text in self.corpus():
             scanned = _outcome(notation._scan_invariant, text)
             assert _outcome(parse_invariant, text) == scanned, text
             if not isinstance(scanned, tuple) or scanned[0] is NotCoprime:
                 # what the scanner reads takes the pattern's path
                 assert notation._WELL_FORMED.fullmatch(text), text
-            elif sum(map(text.count, "0123456789")) <= budget:
-                # and what the pattern takes within the budget, the scanner reads
+            elif sum(map(text.count, "0123456789")) <= budget and not too_large(scanned):
+                # and what the pattern takes within the budget and the genus
+                # bound, the scanner reads: within the budget, only the genus
+                # bound refuses a text as too large
                 assert not notation._WELL_FORMED.fullmatch(text), text
 
     def test_over_budget_text_not_matched(self, monkeypatch):
@@ -433,7 +458,7 @@ class TestInvariantReport:
     def test_target_printed_canonical(self, invariant):
         # the decision builds its covering target canonical, so the report
         # prints its pairs as they stand
-        decision = (decide_hvf if invariant.closed else decide_hvf_boundary)(invariant)
+        decision = decide_hvf(invariant)
         targets = [m.target for m in decision.mechanisms if isinstance(m, Covering)]
         expected = print_invariant(targets[0]) if targets else None
         assert notation.decision_json(decision)["target"] == expected
