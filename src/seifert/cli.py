@@ -3,7 +3,8 @@
 One process answers one query.  Results go to stdout (human-readable by
 default, machine-readable with --json); diagnostics go to stderr.  Exit
 codes: 0 for any computed answer (including negative ones), 2 for parse or
-validation errors, 1 for an internal invariant violation.
+validation errors, 1 for an internal invariant violation, 141 (128 + SIGPIPE,
+as a shell reports it) when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -11,13 +12,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
 from .errors import NoHvf, SeifertError
 from .hvf import boundary_tangency
 from .homotopy import homotopy_components
-from .invariant import _euler_ratio, _fold, alternate_fiberings, fiberwise_quotient, normalize
+from .invariant import _euler_ratio, _fold, _unit_tangent, alternate_fiberings
+from .invariant import fiberwise_quotient, normalize
 from .lens import (
     MarkedLens,
     classify_lens,
@@ -76,7 +79,7 @@ def _emit(args, payload: dict, human_lines: list[str]) -> int:
 def _cmd_classify_orbifold(args) -> int:
     orb = parse_orbifold(args.orbifold)
     chi_u = orb_mod.chi_underlying(orb)
-    x, p = orb_mod._chi_ratio(chi_u, orb.cone_orders)
+    _, x, p = _fold(_unit_tangent(orb.genus_code, orb.boundary_count, orb.cone_orders))
     payload = {
         "input": args.orbifold,
         "orbifold": print_orbifold(orb),
@@ -113,8 +116,8 @@ def _cmd_classify_orbifold(args) -> int:
 def _cmd_ut(args) -> int:
     orb = parse_orbifold(args.orbifold)
     inv = orb_mod.unit_tangent_invariant(orb)
-    # the bundle's extra pair (1, n - chi0) adds nothing to the cone sum of
-    # the fold, so its x/P is chi of the orbifold
+    # the bundle's extra pair (1, -chi0) adds nothing to the cone sum of the
+    # fold, so its x/P is chi of the orbifold
     eb, x, p = _fold(inv)
     payload = {
         "input": args.orbifold,
@@ -389,7 +392,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a buffered write fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; devnull absorbs the flush at exit ("Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as err:  # SeifertError subclasses ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -13,17 +13,18 @@ The covering degrees form the "allowable degree set" D computed here: each
 exceptional fiber imposes ``d * b_i = -1 (mod a_i)``, and for a closed
 fibering the Euler numbers pin ``d * e = chi``.  With boundary, the Euler
 condition disappears and only the congruences remain, so one function,
-``decide_hvf``, decides closed and bounded fiberings alike.  Every decision
+``decide_hvf``, decides closed and bounded fiberings alike.  Its ``_solve``
 folds the congruences into one class ``d = r (mod m)``, pair by pair in
-input order, with one modular inverse per pair.  When a pair contradicts the
-class, a gcd test on the earlier pairs names the first one that contradicts
-it on its own.  The Euler pin is integer arithmetic: multiplied by the
-product P of the alphas, ``d * e = chi`` reads ``d * -sum(b_i P/a_i) =
-chi_u P - sum((a_i - 1) P/a_i)``, so no orbifold and no fraction is built
-unless a decision with no field reports a mismatch.  The fold that gives e
-and chi over P is ``invariant._fold``, which the report reads as well.  The
-covering target, the unit tangent bundle of the base, is built in canonical
-form.
+input order, with one modular inverse per pair, and then applies the Euler
+pin.  When a pair contradicts the class, a gcd test on the earlier pairs
+names the first one that contradicts it on its own.  The Euler pin is
+integer arithmetic: multiplied by the product P of the alphas, ``d * e =
+chi`` reads ``d * -sum(b_i P/a_i) = chi_u P - sum((a_i - 1) P/a_i)``, so no
+orbifold and no fraction is built unless a decision with no field reports a
+mismatch.  The fold that gives e and chi over P is ``invariant._fold``,
+which the report reads as well.  The covering target, the base's unit
+tangent bundle, is the canonical form that ``invariant._unit_tangent``
+builds, as ``unit_tangent_invariant`` is.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .invariant import SeifertInvariant, _chi_underlying, _fold, _fraction
+from .invariant import SeifertInvariant, _chi_underlying, _fold, _fraction, _unit_tangent
 
 __all__ = [
     "EmptyDegrees",
@@ -147,17 +148,17 @@ class HvfDecision(Record):
     obstruction: CongruenceClash | EulerMismatch | None
 
 
-def _merge_congruences(pairs):
-    """Merge the fiber congruences ``d * b = -1 (mod a)`` in input order.
-
-    Returns ``((residue, modulus), None)`` for the merged class, with the
-    residue in ``[0, modulus)``, or ``(None, CongruenceClash(i, j))``: pair
-    ``j`` is the first whose congruence contradicts the merge of the pairs
-    before it, and pair ``i`` the first earlier pair that contradicts it on
-    its own.
-    """
+def _solve(inv: SeifertInvariant):
+    """The degree set of ``inv``, with the first failed condition when it is
+    empty.  The congruences ``d * b = -1 (mod a)`` merge in input order into
+    one class ``d = r (mod m)``, ``r`` in ``[0, m)``.  The condition is a
+    CongruenceClash ``(i, j)``: pair ``j`` is the first that contradicts the
+    merge of the pairs before it, pair ``i`` the first earlier pair that
+    contradicts it on its own.  Or it is an Euler mismatch, the integers
+    ``(eb, x, P, pin)`` of ``d * -eb = x`` over the product P of the alphas,
+    which only ``decide_hvf`` turns into an EulerMismatch, with no field."""
     r, m = 0, 1
-    for j, (a, b) in enumerate(pairs):
+    for j, (a, b) in enumerate(inv.pairs):
         # d = r + m*t solves pair j when m*b*t = -c (mod a); b is a unit mod
         # a, so this needs g | c, and then fixes t modulo a/g
         g = math.gcd(m, a)
@@ -166,36 +167,23 @@ def _merge_congruences(pairs):
             # pairwise solvability implies joint solvability, so some earlier
             # pair clashes with this one on its own; -b^{-1} is a bijection
             # on the units mod gcd(a_k, a), so the betas tell it directly
-            i = next(k for k, (ak, bk) in enumerate(pairs[:j]) if (bk - b) % math.gcd(ak, a))
-            return None, CongruenceClash(i, j)
+            i = next(k for k, (ak, bk) in enumerate(inv.pairs[:j]) if (bk - b) % math.gcd(ak, a))
+            return EmptyDegrees(), CongruenceClash(i, j)
         step = a // g  # coprime to m // g; a == 1 gives step 1 and t = 0
         r += m * (-(c // g) * pow(m // g * b, -1, step) % step)
         m *= step
-    return (r, m), None
-
-
-def _solve(inv: SeifertInvariant):
-    """The degree set of ``inv``, with the first failed condition when the
-    set is empty: a CongruenceClash, or an Euler mismatch as the integers
-    ``(eb, x, P, pin)`` of ``d * -eb = x`` over the product P of the alphas,
-    which only ``decide_hvf`` turns into an EulerMismatch, and only when no
-    field exists."""
-    merged, clash = _merge_congruences(inv.pairs)
-    if merged is None:
-        return EmptyDegrees(), clash
-    residue, modulus = merged
     if not inv.closed:
-        return DegreeProgression(residue, modulus), None
+        return DegreeProgression(r, m), None
     # over the product P of the alphas: e = -eb/P and chi = x/P
     eb, x, p = _fold(inv)
     if eb:
         # d * e = chi is d * -eb = x
         pin = -x // eb if x % eb == 0 else None
-        if pin is not None and pin != 0 and pin % modulus == residue:
+        if pin is not None and pin != 0 and pin % m == r:
             return SingleDegree(pin), None
         return EmptyDegrees(), (eb, x, p, pin)
     if x == 0:
-        return DegreeProgression(residue, modulus), None
+        return DegreeProgression(r, m), None
     return EmptyDegrees(), (0, x, p, None)
 
 
@@ -218,21 +206,16 @@ def decide_hvf(inv: SeifertInvariant) -> HvfDecision:
     The section mechanism needs a bare base surface that carries a
     nowhere-zero vector field: any bounded one, or chi = 0 when closed (the
     torus and the Klein bottle).  The covering mechanism needs a non-empty
-    degree set; its target is the unit tangent bundle of the base: the
-    integer pair ``(1, n - chi_u)`` and ``(a_i, -1)`` per cone point, over
-    the same genus code and boundary.  It is built in canonical form: each
-    ``(a_i, -1)`` shifts to ``(a_i, a_i - 1)``, which leaves the integer pair
-    ``(1, -chi_u)`` when closed, and with boundary the pair is dropped.
+    degree set; its target is the unit tangent bundle of the base, built in
+    canonical form by ``invariant._unit_tangent``.
     """
-    cones = tuple(sorted((a, a - 1) for a, _ in inv.pairs if a >= 2))
-    chi_u = _chi_underlying(inv.genus_code, inv.boundary_count)
+    cones = [a for a, _ in inv.pairs if a >= 2]
     mechanisms = []
-    if not cones and (not inv.closed or chi_u == 0):
+    if not cones and (not inv.closed or _chi_underlying(inv.genus_code, inv.boundary_count) == 0):
         mechanisms.append(SurfaceSection())
     degrees, obstruction = _solve(inv)
     if not degrees.is_empty():
-        pairs = ((1, -chi_u),) + cones if inv.closed and chi_u else cones
-        target = SeifertInvariant(inv.genus_code, pairs, inv.boundary_count)
+        target = _unit_tangent(inv.genus_code, inv.boundary_count, cones)
         mechanisms.append(Covering(degrees, target))
     if mechanisms:
         return HvfDecision(True, tuple(mechanisms), None)

@@ -163,10 +163,10 @@ def _chi_underlying(g: int, n: int) -> int:
     """Euler characteristic of the surface of genus code ``g`` with ``n``
     boundary circles, cone points forgotten: ``2 - 2g - n`` when orientable
     (``g >= 0``) and ``2 + g - n`` with ``-g`` cross caps.  The one statement
-    of it: ``orbifold.chi_underlying``, the fold, the section test and
-    boundary tangency all read it.  It is 0 exactly on the bare surfaces that
-    carry a nowhere-zero field (tangent to any boundary): the torus, the
-    Klein bottle, the annulus and the Mobius band."""
+    of it: ``orbifold.chi_underlying``, the fold, ``_unit_tangent``, the
+    section test and boundary tangency all read it.  It is 0 exactly on the
+    bare surfaces that carry a nowhere-zero field (tangent to any boundary):
+    the torus, the Klein bottle, the annulus and the Mobius band."""
     return (2 - 2 * g if g >= 0 else 2 + g) - n
 
 
@@ -182,6 +182,19 @@ def _fold(inv: SeifertInvariant) -> tuple[int, int, int]:
         cone = cone * a + (a - 1) * p
         p *= a
     return eb, _chi_underlying(inv.genus_code, inv.boundary_count) * p - cone, p
+
+
+def _unit_tangent(g: int, n: int, cone_orders) -> SeifertInvariant:
+    """The unit tangent bundle of the orbifold of genus code ``g``, ``n``
+    boundary circles and cone orders ``a >= 2``, in canonical form: one
+    ``(a, a - 1)`` per sorted cone order, after ``(1, -chi_u)`` when closed
+    and ``chi_u != 0``.  Pair by pair it is ``(1, k - chi_u)`` for k cone
+    points, then ``(a, -1)`` each.  ``_fold`` of it gives the orbifold's chi
+    as ``x/P``, and when closed its Euler number is that chi.  The covering
+    target, ``unit_tangent_invariant`` and every orbifold chi read it."""
+    chi_u = _chi_underlying(g, n)
+    cones = tuple((a, a - 1) for a in sorted(cone_orders))
+    return SeifertInvariant(g, ((1, -chi_u),) + cones if n == 0 and chi_u else cones, n)
 
 
 def euler_number(inv: SeifertInvariant) -> Fraction:

@@ -27,7 +27,7 @@ from enum import Enum
 
 from ._record import Record, integral
 from .errors import BoundaryNotSupported
-from .invariant import SeifertInvariant, _chi_underlying, _fraction
+from .invariant import SeifertInvariant, _chi_underlying, _fold, _fraction, _unit_tangent
 
 __all__ = [
     "Orbifold",
@@ -128,20 +128,10 @@ def chi_underlying(orb: Orbifold) -> int:
     return _chi_underlying(orb.genus_code, orb.boundary_count)
 
 
-def _chi_ratio(chi_u: int, cone_orders) -> tuple[int, int]:
-    """chi of the orbifold whose underlying surface has chi ``chi_u``, as
-    ``(x, P)`` with ``chi = x/P`` over the product P of the cone orders: not
-    in lowest terms, and ``x`` has the sign of chi."""
-    cone, p = 0, 1  # running value of sum(1 - 1/a), over p
-    for a in cone_orders:
-        cone = cone * a + (a - 1) * p
-        p *= a
-    return chi_u * p - cone, p
-
-
 def chi(orb: Orbifold) -> Fraction:
     """Orbifold Euler characteristic, exact."""
-    return _fraction(*_chi_ratio(chi_underlying(orb), orb.cone_orders))
+    _, x, p = _fold(_unit_tangent(orb.genus_code, orb.boundary_count, orb.cone_orders))
+    return _fraction(x, p)
 
 
 def _require_closed(orb: Orbifold, what: str):
@@ -181,7 +171,8 @@ def is_bad(orb: Orbifold) -> bool:
 def geometry_class(orb: Orbifold) -> GeometryClass:
     """Bad, or else elliptic/parabolic/hyperbolic by the sign of chi."""
     _require_closed(orb, "the geometry class")
-    return _geometry(orb.genus_code, orb.cone_orders, chi(orb))
+    _, x, _ = _fold(_unit_tangent(orb.genus_code, 0, orb.cone_orders))
+    return _geometry(orb.genus_code, orb.cone_orders, x)
 
 
 def elliptic_family(orb: Orbifold) -> tuple[str, int] | None:
@@ -242,15 +233,14 @@ def elliptic_orbifolds(max_order: int) -> list[Orbifold]:
 def unit_tangent_invariant(orb: Orbifold) -> SeifertInvariant:
     """Seifert invariant of the unit tangent bundle of a closed orbifold.
 
-    With ``n`` cone points of orders ``a_1..a_n`` on an underlying surface of
-    Euler characteristic ``chi0``, the invariant is one integer pair
-    ``(1, n - chi0)`` followed by ``(a_i, -1)`` for each cone point; this
-    holds for bad orbifolds as well, and always gives Euler number chi(orb).
+    With cone points of orders ``a_i`` on an underlying surface of Euler
+    characteristic ``chi0``, the bundle is ``(a_i, a_i - 1)`` per cone point
+    after one integer pair ``(1, -chi0)``, dropped when ``chi0 = 0``: the
+    canonical representative, so compare it with ``equal``.  This holds for
+    bad orbifolds as well, and its Euler number is always chi(orb).
     """
     _require_closed(orb, "the unit tangent bundle invariant")
-    n = len(orb.cone_orders)
-    pairs = ((1, n - chi_underlying(orb)),) + tuple((a, -1) for a in orb.cone_orders)
-    return SeifertInvariant(orb.genus_code, pairs)
+    return _unit_tangent(orb.genus_code, 0, orb.cone_orders)
 
 
 def fiberings_over(orb: Orbifold, b_range):

@@ -430,7 +430,7 @@ class TestValuesPerQuery:
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_ut_reads_e_and_chi_off_one_fold(self, capsys, monkeypatch, json_flag):
-        # the bundle's extra pair (1, n - chi0) adds nothing to the cone sum,
+        # the bundle's extra pair (1, -chi0) adds nothing to the cone sum,
         # so the fold of its invariant gives chi of the orbifold too
         from seifert import orbifold
 
@@ -515,6 +515,41 @@ class TestImportFootprint:
         assert json.loads(report)["hvf"]["exists"] is True
         assert last == "False 0 False"
 
+
+class TestClosedStdout:
+    """A reader that closes the pipe early is not an internal error: the run
+    exits 141 (128 + SIGPIPE) with an empty stderr, whether the write fails
+    in a ``print`` (unbuffered stdout) or in the flush after the handler
+    (Python buffers a piped stdout by default)."""
+
+    @staticmethod
+    def _command(*argv, unbuffered):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return [sys.executable, "-m", "seifert.cli", *argv], env
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_reader_closes_after_first_bytes(self, unbuffered):
+        # 472 KB of JSON, more than a pipe buffer holds
+        argv, env = self._command("enumerate-lens", "1", "0", "200", "--json", unbuffered=unbuffered)
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (141, b"")
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_reader_closed_before_any_write(self, unbuffered):
+        argv, env = self._command("hvf", "M(0; (2,1), (3,1), (5,1))", "--json", unbuffered=unbuffered)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(argv, env=env, stdout=write, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 # The malformations of the benchmark's report stream, plus non-ASCII text.

@@ -6,6 +6,12 @@ that two invariants live on one manifold, or on ``L(p, q)``.  ``H_1``,
 computed from the presentation of the fundamental group in
 ``conftest.first_homology``, is a homeomorphism invariant that uses none of
 the library's arithmetic, so each such claim must preserve it.
+
+``H_1`` cannot tell ``L(p, q)`` from ``L(p, q')``.  The linking form can, in
+part: over a genus-0 base the fibering is a plumbing, and the self-linking of
+a generator of ``H_1`` is read off its linking matrix with integer
+arithmetic only.  The fiberings over the projective plane are no such
+plumbing, and only ``H_1`` checks them.
 """
 
 import itertools
@@ -21,6 +27,7 @@ from seifert import (
     classify_lens,
     euler_number,
     exceptional_lens_fibering,
+    lens_census,
     lens_from_invariant,
     manifold_fiberings,
     parse_invariant,
@@ -141,3 +148,134 @@ def test_criterion_5_named_instances():
     assert first_homology(unit_tangent_invariant(sphere(2, 2, 2, 2))) == (2, 2, 0)
     assert first_homology(unit_tangent_invariant(projective_plane(2, 2))) == (4, 4)
     assert first_homology(parse_invariant("M(0, 1; (3,1), (3,2))")) == (3, 0)
+
+
+def negative_chain(a, b):
+    """The integers ``c_1..c_k`` of the negative continued fraction ``a/b =
+    c_1 - 1/(c_2 - 1/(... - 1/c_k))``, for ``b != 0``."""
+    if b < 0:
+        a, b = -a, -b
+    chain = []
+    while b:
+        c = -(-a // b)  # the ceiling, so the remainder c*b - a is in [0, b)
+        chain.append(c)
+        a, b = b, c * b - a
+    return chain
+
+
+def plumbing_matrix(invariant):
+    """The linking matrix of a closed genus-0 fibering as surgery on a framed
+    link: a 0-framed unknot around which the fiber runs, and one meridian of
+    it per pair ``(a, b)`` with surgery slope ``a/b``.  Slam-dunks expand each
+    slope into a chain of unknots framed by its negative continued fraction.
+    A pair ``(1, 0)`` is the empty surgery and adds nothing.  The off-diagonal
+    signs of a tree do not change the diagonal of the inverse."""
+    framings, edges = [0], []
+    for a, b in invariant.pairs:
+        if b == 0:
+            continue
+        previous = 0
+        for c in negative_chain(a, b):
+            framings.append(c)
+            edges.append((previous, len(framings) - 1))
+            previous = len(framings) - 1
+    matrix = [[0] * len(framings) for _ in framings]
+    for i, c in enumerate(framings):
+        matrix[i][i] = c
+    for i, j in edges:
+        matrix[i][j] = matrix[j][i] = 1
+    return matrix
+
+
+def determinant(matrix):
+    """Fraction-free (Bareiss) elimination: every division is exact."""
+    m = [row[:] for row in matrix]
+    n, sign, previous = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
+        previous = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def linking_form(invariant):
+    """``(p, k)``: ``|H_1| = p = |det A|`` for the plumbing matrix A, and
+    the self-linking ``k/p`` of a meridian that generates ``H_1``.  That is a
+    diagonal entry of ``A^-1``, one cofactor over ``det A`` by Cramer's rule.
+    The form is non-degenerate, so a meridian generates exactly when its
+    cofactor is prime to p.  ``k`` is None when ``p <= 1``."""
+    matrix = plumbing_matrix(invariant)
+    p = abs(determinant(matrix))
+    if p <= 1:
+        return p, None
+    for v in range(len(matrix)):
+        cofactor = determinant([r[:v] + r[v + 1 :] for i, r in enumerate(matrix) if i != v])
+        if math.gcd(cofactor, p) == 1:
+            return p, cofactor % p
+    raise AssertionError(f"no meridian generates H_1 of {invariant}")
+
+
+def form_class(p, k):
+    """The linking form ``k/p`` on ``Z/p`` up to a change of generator (a unit
+    square) and of orientation (a sign): ``L(p, q)`` has the class of q, and
+    ``q^-1`` has the same class as q."""
+    return frozenset(s * k * u * u % p for s in (1, -1) for u in range(p) if math.gcd(u, p) == 1)
+
+
+class TestLinkingForm:
+    """The genus-0 fiberings of ``lens_census(48, 16)`` against their linking
+    forms.  The check is up to sign, so it cannot tell q from -q."""
+
+    def test_oracle_on_known_lens_spaces(self):
+        assert negative_chain(3, 2) == [2, 2]
+        assert negative_chain(1, -3) == [0, 3]
+        # (0; (1, 5)) is L(5, 1): its class is the squares {1, 4}, not {2, 3}
+        p, k = linking_form(inv(0, (1, 5)))
+        assert (p, form_class(p, k)) == (5, {1, 4})
+        assert form_class(5, 2) == {2, 3}
+
+    @pytest.fixture(scope="class")
+    def census(self):
+        census = lens_census(48, 16)
+        unique = {f: None for group in census.values() for f in group if f.genus_code == 0}
+        return census, {f: linking_form(f) for f in unique}
+
+    def test_lens_marking_has_the_linking_form(self, census):
+        _, forms = census
+        assert len(forms) == 2411
+        for fibering, (p, k) in forms.items():
+            lens = lens_from_invariant(fibering)
+            assert p == abs(lens.p), fibering
+            if p > 1:
+                assert form_class(p, k) == form_class(p, lens.q), fibering
+
+    def test_census_group_shares_one_form(self, census):
+        groups, forms = census
+        for (p, q), group in groups.items():
+            for fibering in group:
+                if fibering.genus_code == 0 and p > 1:
+                    order, k = forms[fibering]
+                    assert order == p and form_class(p, k) == form_class(p, q), (p, q, fibering)
+
+    def test_wrong_marking_is_caught(self, census):
+        # the power of the oracle: substitute the smallest q outside the
+        # homeomorphism class of the marking, which the linking form
+        # catches when that q has another form class
+        _, forms = census
+        tried = caught = 0
+        for fibering, (p, k) in forms.items():
+            q = lens_from_invariant(fibering).q
+            homeo = {s * x % p for s in (1, -1) for x in (q, pow(q, -1, p))} if p > 1 else ()
+            wrong = next((u for u in range(1, p) if math.gcd(u, p) == 1 and u not in homeo), None)
+            if wrong is None:
+                continue
+            tried += 1
+            caught += form_class(p, k) != form_class(p, wrong)
+        assert (tried, caught) == (2130, 860)

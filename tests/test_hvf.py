@@ -1,4 +1,6 @@
+import collections
 import math
+import random
 import time
 
 import pytest
@@ -281,14 +283,20 @@ class TestCoveringBothWays:
         unit tangent bundle of the base.  Closed fiberings only: the unit
         tangent bundle is defined for closed orbifolds.  The window is
         ``0 < |d| <= lcm`` of the cone orders, and the same width around the
-        Euler pin chi/e when it is an integer."""
+        Euler pin chi/e when it is an integer.  The decision's covering
+        target is that bundle as a record, not only as a fibering."""
         start = time.time()
-        checked = points = shared = 0
+        checked = points = shared = coverings = 0
         for invariant in canonical_grid(6, 3, range(-6, 7), range(-2, 3)):
             checked += 1
             degrees = allowable_degrees(invariant)
             base = base_orbifold(invariant)
-            target = normalize(unit_tangent_invariant(base))
+            ut = unit_tangent_invariant(base)
+            for mech in decide_hvf(invariant).mechanisms:
+                if isinstance(mech, Covering):
+                    assert mech.target == ut, invariant
+                    coverings += 1
+            target = normalize(ut)
             lcm = math.lcm(*(a for a, _ in invariant.pairs))
             window = set(range(-lcm, lcm + 1))
             e = euler_number(invariant)
@@ -310,6 +318,7 @@ class TestCoveringBothWays:
                 assert covers == degrees.contains(d), (invariant, d)
         elapsed = time.time() - start
         assert checked == 364 * 13 * 5
+        assert coverings == 1187
         print(f"{points} degrees ({shared} not coprime) over {checked} fiberings in {elapsed:.1f}s")
 
 
@@ -330,7 +339,51 @@ class TestCoveringTarget:
         ut = SeifertInvariant(invariant.genus_code, pairs, invariant.boundary_count)
         assert mech.target == normalize(ut).invariant()
         if invariant.closed:
-            assert equal(mech.target, unit_tangent_invariant(base))
+            # one builder gives both, so they agree as records
+            assert mech.target == unit_tangent_invariant(base)
+
+
+def random_invariant(rng):
+    """Genus code -3..3, up to four pairs with alpha <= 12 and beta drawn
+    from -30..30, then raised to the next value prime to alpha, and no
+    boundary half the time."""
+    pairs = []
+    for _ in range(rng.randint(0, 4)):
+        a, b = rng.randint(1, 12), rng.randint(-30, 30)
+        while math.gcd(a, b) != 1:
+            b += 1
+        pairs.append((a, b))
+    return SeifertInvariant(rng.randint(-3, 3), tuple(pairs), rng.choice([0, 0, 1, 2]))
+
+
+class TestQuotientDegreeLaw:
+    def test_degree_law(self):
+        """For k != 0 prime to every alpha and N = fiberwise_quotient(M, k),
+        d is allowable for N exactly when d*k is allowable for M: N's
+        congruences and Euler pin are M's with every beta and e times k.
+        Half the closed M are unit tangent bundles, so that many closed
+        degree sets are non-empty; |k| <= 7 and |d| <= 60."""
+        rng = random.Random(21)
+        kinds = collections.Counter()
+        points = 0
+        for i in range(4000):
+            m = random_invariant(rng)
+            if i % 2 and m.closed:
+                m = unit_tangent_invariant(Orbifold(m.genus_code, [a for a, _ in m.pairs]))
+            degrees = allowable_degrees(m)
+            for k in range(-7, 8):
+                if k == 0 or any(math.gcd(k, a) != 1 for a, _ in m.pairs):
+                    continue
+                quotient = allowable_degrees(fiberwise_quotient(m, k))
+                kinds[type(quotient).__name__, m.closed] += 1
+                for d in range(-60, 61):
+                    assert quotient.contains(d) == degrees.contains(d * k), (m, k, d)
+                points += 121
+        assert points > 3_000_000
+        # the law is checked on every kind of degree set, closed and bounded
+        for kind in ("EmptyDegrees", "SingleDegree", "DegreeProgression"):
+            assert kinds[kind, True] > 1000, kinds
+        assert kinds["DegreeProgression", False] > 10000, kinds
 
 
 def brute_clash(pairs):
