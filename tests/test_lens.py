@@ -477,6 +477,109 @@ class TestEnumerateLensFiberings:
                 assert not equal(a, b)
 
 
+def _walk_oracle(p, bound):
+    """The walk over integer lifts that ``lens._walk`` replaced: every
+    coprime ``(a1, b1)``, then a window of ``a2``, each fibering reached
+    about three times and the repeats dropped by key.  An oracle for the
+    keys and marked classes of the walk over canonical residues."""
+    from seifert.lens import _check_bound, _lens_pq
+
+    _check_bound(bound)
+    seen = {}
+    for a1 in range(1, bound + 1):
+        classes = [p * pow(r, -1, a1) if math.gcd(r, a1) == 1 else None for r in range(a1)]
+        for b1 in range(-bound, bound + 1):
+            r = classes[b1 % a1]
+            if r is None:
+                continue
+            if b1:
+                c, s = (b1, p) if b1 > 0 else (-b1, -p)
+                lo, hi = -((bound * a1 - s) // c), (s + bound * a1) // c
+            else:
+                lo, hi = 1, (bound if -bound <= p <= bound else 0)
+            lo = lo if lo > a1 else a1
+            hi = hi if hi < bound else bound
+            lo += (r - lo) % a1
+            if lo == a1 and p < 2 * a1 * b1:
+                lo += a1
+            q1, r1 = divmod(b1, a1)
+            for a2 in range(lo, hi + 1, a1):
+                b2 = (p - a2 * b1) // a1
+                if math.gcd(a2, b2) != 1:
+                    continue
+                q2, r2 = divmod(b2, a2)
+                if a1 == 1:
+                    pairs = ((a2, r2),) if a2 > 1 else ()
+                elif a1 < a2 or r1 <= r2:
+                    pairs = ((a1, r1), (a2, r2))
+                else:
+                    pairs = ((a2, r2), (a1, r1))
+                key = (pairs, q1 + q2)
+                if key not in seen:
+                    seen[key] = _lens_pq(a1, b1, a2, b2)[1]
+    return seen
+
+
+@st.composite
+def window_edges(draw, max_bound=8):
+    """A fibering ``(0; (a1, r1 + b*a1), (a2, r2))`` and a bound, with ``b``
+    on an end of the walk's window ``[lo1 + lo2, hi1 + hi2]`` or one past
+    it, where ``[lo_i, hi_i]`` are the integer parts ``q_i`` with
+    ``|q_i*a_i + r_i| <= bound``."""
+    bound = draw(st.integers(1, max_bound))
+    a1, a2 = (draw(st.integers(1, bound)) for _ in range(2))
+    r1, r2 = (
+        draw(st.sampled_from([r for r in range(a) if math.gcd(r, a) == 1]))
+        for a in (a1, a2)
+    )
+    lo = -((bound + r1) // a1) - (bound + r2) // a2
+    hi = (bound - r1) // a1 + (bound - r2) // a2
+    b = draw(st.sampled_from((lo, hi, lo - 1, hi + 1)))
+    return inv(0, (a1, r1 + b * a1), (a2, r2)), bound
+
+
+class TestWalk:
+    def test_matches_old_walk(self):
+        # the same keys, and each q in the old q's marked class; at p = 0,
+        # where the marked class ignores q, both give q = 1
+        from seifert.lens import _residues, _walk
+
+        cases = [(p, b) for b in range(1, 13) for p in range(-2 * b * b - 1, 2 * b * b + 2)]
+        cases += [(1, 200), (0, 200), (128, 64), (-77, 150)]
+        for p, bound in cases:
+            new, old = _walk(p, bound), _walk_oracle(p, bound)
+            assert new.keys() == old.keys(), (p, bound)
+            for key, q in old.items():
+                m, qs = _residues(p, q)
+                assert new[key] % m in qs, (p, bound, key)
+                if p == 0:
+                    assert new[key] == q == 1, (bound, key)
+
+    @settings(max_examples=80, deadline=None)
+    @given(window_edges())
+    def test_window_edges_match_all_pairs_oracle(self, case):
+        # p = a1*a2*b + a1*r2 + a2*r1, and the fibering's own marking, so the
+        # edge fibering is found exactly when its shift b is inside the window
+        fibering, bound = case
+        target = lens_from_invariant(fibering)
+        assert enumerate_lens_fiberings(target, bound) == _all_pairs_fiberings(target, bound)
+
+    def test_bound_cap_query(self, capsys):
+        # the slowest query at the cap, pinned: its count and the SHA-256 of
+        # its JSON output
+        import hashlib
+
+        from seifert.cli import main
+
+        assert len(enumerate_lens_fiberings(MarkedLens(1, 0), 200)) == 12232
+        assert main(["enumerate-lens", "1", "0", "200", "--json"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(out) == 472020
+        assert hashlib.sha256(out).hexdigest() == (
+            "b2df8d72eed83888943741c635354b915e716d9d9074e26da782e5c8ee2d5145"
+        )
+
+
 class TestManifoldMarkings:
     def test_values(self):
         assert manifold_markings(0, 1) == [(0, 1)]
