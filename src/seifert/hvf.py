@@ -16,15 +16,15 @@ condition disappears and only the congruences remain, so one function,
 ``decide_hvf``, decides closed and bounded fiberings alike.  Its ``_solve``
 folds the congruences into one class ``d = r (mod m)``, pair by pair in
 input order, with one modular inverse per pair, and then applies the Euler
-pin.  When a pair contradicts the class, a gcd test on the earlier pairs
-names the first one that contradicts it on its own.  The Euler pin is
-integer arithmetic: multiplied by the product P of the alphas, ``d * e =
-chi`` reads ``d * -sum(b_i P/a_i) = chi_u P - sum((a_i - 1) P/a_i)``, so no
-orbifold and no fraction is built unless a decision with no field reports a
-mismatch.  The fold that gives e and chi over P is ``invariant._fold``,
-which the report reads as well.  The covering target, the base's unit
-tangent bundle, is the canonical form that ``invariant._unit_tangent``
-builds, as ``unit_tangent_invariant`` is.
+pin.  It reports a failure as integers and builds no record, so only
+``decide_hvf`` builds an obstruction, for a decision with no field.  The
+Euler pin is integer arithmetic: multiplied by the product P of the alphas,
+``d * e = chi`` reads ``d * -sum(b_i P/a_i) = chi_u P - sum((a_i - 1)
+P/a_i)``, so no orbifold and no fraction is built unless a decision with no
+field reports a mismatch.  The fold that gives e and chi over P is
+``invariant._fold``, which the report reads as well.  The covering target,
+the base's unit tangent bundle, is the canonical form that
+``invariant._unit_tangent`` builds, as ``unit_tangent_invariant`` is.
 """
 
 from __future__ import annotations
@@ -148,15 +148,18 @@ class HvfDecision(Record):
     obstruction: CongruenceClash | EulerMismatch | None
 
 
+# records are immutable, so every empty result of ``_solve`` is this one
+_EMPTY = EmptyDegrees()
+
+
 def _solve(inv: SeifertInvariant):
-    """The degree set of ``inv``, with the first failed condition when it is
-    empty.  The congruences ``d * b = -1 (mod a)`` merge in input order into
-    one class ``d = r (mod m)``, ``r`` in ``[0, m)``.  The condition is a
-    CongruenceClash ``(i, j)``: pair ``j`` is the first that contradicts the
-    merge of the pairs before it, pair ``i`` the first earlier pair that
-    contradicts it on its own.  Or it is an Euler mismatch, the integers
-    ``(eb, x, P, pin)`` of ``d * -eb = x`` over the product P of the alphas,
-    which only ``decide_hvf`` turns into an EulerMismatch, with no field."""
+    """The degree set of ``inv`` and, when it is empty, the first failed
+    condition as integers.  The congruences ``d * b = -1 (mod a)`` merge in
+    input order into one class ``d = r (mod m)``, ``r`` in ``[0, m)``.  The
+    failure is None when the set is non-empty; an int ``j`` when pair ``j``
+    is the first that contradicts the merge of the pairs before it; or the
+    4-tuple ``(eb, x, P, pin)`` of an Euler mismatch ``d * -eb = x`` over
+    the product P of the alphas.  Every empty set is the one ``_EMPTY``."""
     r, m = 0, 1
     for j, (a, b) in enumerate(inv.pairs):
         # d = r + m*t solves pair j when m*b*t = -c (mod a); b is a unit mod
@@ -164,11 +167,7 @@ def _solve(inv: SeifertInvariant):
         g = math.gcd(m, a)
         c = 1 + r * b
         if c % g:
-            # pairwise solvability implies joint solvability, so some earlier
-            # pair clashes with this one on its own; -b^{-1} is a bijection
-            # on the units mod gcd(a_k, a), so the betas tell it directly
-            i = next(k for k, (ak, bk) in enumerate(inv.pairs[:j]) if (bk - b) % math.gcd(ak, a))
-            return EmptyDegrees(), CongruenceClash(i, j)
+            return _EMPTY, j
         step = a // g  # coprime to m // g; a == 1 gives step 1 and t = 0
         r += m * (-(c // g) * pow(m // g * b, -1, step) % step)
         m *= step
@@ -181,10 +180,10 @@ def _solve(inv: SeifertInvariant):
         pin = -x // eb if x % eb == 0 else None
         if pin is not None and pin != 0 and pin % m == r:
             return SingleDegree(pin), None
-        return EmptyDegrees(), (eb, x, p, pin)
+        return _EMPTY, (eb, x, p, pin)
     if x == 0:
         return DegreeProgression(r, m), None
-    return EmptyDegrees(), (0, x, p, None)
+    return _EMPTY, (0, x, p, None)
 
 
 def allowable_degrees(inv: SeifertInvariant) -> DegreeSet:
@@ -195,7 +194,8 @@ def allowable_degrees(inv: SeifertInvariant) -> DegreeSet:
     pins ``d = chi/e`` (a single degree, valid only if it is a non-zero
     integer in the class), while ``e = 0`` admits the whole class if
     ``chi = 0`` and nothing otherwise.  With boundary the merged class is the
-    answer; its modulus divides the lcm of the alphas.
+    answer; its modulus divides the lcm of the alphas.  A failed condition
+    builds no record: every empty set is one shared ``EmptyDegrees()``.
     """
     return _solve(inv)[0]
 
@@ -207,7 +207,10 @@ def decide_hvf(inv: SeifertInvariant) -> HvfDecision:
     nowhere-zero vector field: any bounded one, or chi = 0 when closed (the
     torus and the Klein bottle).  The covering mechanism needs a non-empty
     degree set; its target is the unit tangent bundle of the base, built in
-    canonical form by ``invariant._unit_tangent``.
+    canonical form by ``invariant._unit_tangent``.  With no field, the
+    obstruction is built here from the integers of ``_solve``.  For a clash
+    at pair ``j``, a gcd test on the earlier pairs names the first one that
+    contradicts pair ``j`` on its own.
     """
     cones = [a for a, _ in inv.pairs if a >= 2]
     mechanisms = []
@@ -219,7 +222,15 @@ def decide_hvf(inv: SeifertInvariant) -> HvfDecision:
         mechanisms.append(Covering(degrees, target))
     if mechanisms:
         return HvfDecision(True, tuple(mechanisms), None)
-    if isinstance(obstruction, tuple):
+    if isinstance(obstruction, int):
+        # pairwise solvability implies joint solvability, so some earlier
+        # pair clashes with pair j on its own; -b^{-1} is a bijection on the
+        # units mod gcd(a_k, a), so the betas tell it directly
+        j = obstruction
+        a, b = inv.pairs[j]
+        i = next(k for k, (ak, bk) in enumerate(inv.pairs[:j]) if (bk - b) % math.gcd(ak, a))
+        obstruction = CongruenceClash(i, j)
+    else:
         eb, x, p, pin = obstruction
         obstruction = EulerMismatch(_fraction(-eb, p), _fraction(x, p), pin)
     return HvfDecision(False, (), obstruction)

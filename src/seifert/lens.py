@@ -340,8 +340,10 @@ def _manifolds(p: int, bound: int) -> dict[int, list]:
     ``L(p, *)`` once; at ``p = 0`` each is its own reversal.  Only
     ``_fiberings`` builds invariants, one group at a time."""
     out, walk = {}, _walk(p, bound)
+    # many keys share a q (2,806 keys, 282 q at p = 191, bound 96): key each q once
+    keys = {q: _manifold_key(p, q) for q in set(walk.values())}
     for key in sorted(walk, key=_up_to_reversal):
-        out.setdefault(_manifold_key(p, walk[key]), []).append(key)
+        out.setdefault(keys[walk[key]], []).append(key)
     if p > 0 and p % 4 == 0:
         # L(p, p/2 + 1), the lens of exceptional_lens_fibering(p // 4)
         out.setdefault(_manifold_key(p, p // 2 + 1), []).insert(0, None)

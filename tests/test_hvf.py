@@ -444,6 +444,45 @@ class TestClashIndices:
             assert 0 <= degrees.residue < degrees.modulus
 
 
+class TestEntryPointsAgree:
+    @settings(max_examples=300)
+    @given(clash_prone_pairs(), st.integers(-2, 2), st.integers(0, 2))
+    def test_allowable_degrees_is_the_covering_degrees(self, pairs, genus, boundary):
+        """One solve serves both entry points: the degree set is the
+        decision's covering degrees, or the empty set with no covering."""
+        invariant = inv(genus, *pairs, boundary=boundary)
+        covering = [m for m in decide_hvf(invariant).mechanisms if isinstance(m, Covering)]
+        expected = covering[0].degrees if covering else EmptyDegrees()
+        assert allowable_degrees(invariant) == expected
+
+
+class TestRecordsPerSolve:
+    """A failed condition is integers until a decision with no field needs
+    its record: ``allowable_degrees`` builds no obstruction and no empty
+    set, and ``decide_hvf`` builds one obstruction per such decision."""
+
+    def test_records_built_on_criterion_3_grid(self, monkeypatch):
+        built = collections.Counter()
+        for cls in (CongruenceClash, EulerMismatch, EmptyDegrees):
+            def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        grid = list(canonical_grid(6, 3, range(-6, 7), range(-2, 3)))
+        for invariant in grid:
+            allowable_degrees(invariant)
+        assert not built, built
+        without = collections.Counter()
+        for invariant in grid:
+            decision = decide_hvf(invariant)
+            if not decision.exists:
+                without[type(decision.obstruction).__name__] += 1
+        assert built == without, (built, without)
+        # the grid has decisions of both kinds
+        assert without["CongruenceClash"] > 1000 and without["EulerMismatch"] > 1000, without
+
+
 @st.composite
 def mixed_invariants(draw):
     """Genus codes -4..4 and 0..3 boundary circles, with pairs that mix
