@@ -28,9 +28,9 @@ Both rules live in one integer helper, ``_residues``, and every fibering
 with a given ``p`` in one walk, ``_walk(p, bound)``, keyed by its canonical
 pairs and shift.  The walk runs over canonical residues, not integer
 lifts, so it meets each fibering once.  ``enumerate_lens_fiberings`` keeps
-the keys of one marking; ``_manifolds`` files the walk by manifold, each
-fibering once up to reversal, for ``manifold_fiberings`` and
-``lens_census``.
+the keys of one marking; ``_manifolds`` builds each manifold's fiberings,
+the projective-plane one included, each once up to reversal, for
+``manifold_fiberings`` and ``lens_census``.
 """
 
 from __future__ import annotations
@@ -332,31 +332,22 @@ def _up_to_reversal(key):
     return min(key, (tuple(sorted((a, a - r) for a, r in pairs)), -b - len(pairs)))
 
 
-def _manifolds(p: int, bound: int) -> dict[int, list]:
-    """The walk at ``p >= 0`` filed by ``_manifold_key``: each manifold's
-    canonical ``(pairs, b)`` keys in the order of ``manifold_fiberings``, with
-    None first where the manifold has the projective-plane fibering.
-    Reversal sends ``p`` to ``-p``, so the walk meets each fibering of
-    ``L(p, *)`` once; at ``p = 0`` each is its own reversal.  Only
-    ``_fiberings`` builds invariants, one group at a time."""
+def _manifolds(p: int, bound: int) -> dict[int, list[SeifertInvariant]]:
+    """Every fibering of ``L(p, *)`` at ``p >= 0`` filed by ``_manifold_key``,
+    in the order of ``manifold_fiberings``: the projective-plane fibering
+    first where the manifold has it, then the two-fiber ones, their walk
+    keys sorted by ``_up_to_reversal``.  Reversal sends ``p`` to ``-p``, so the walk meets
+    each fibering of ``L(p, *)`` once; at ``p = 0`` each is its own
+    reversal."""
     out, walk = {}, _walk(p, bound)
+    if p > 0 and p % 4 == 0:
+        witness, lens = exceptional_lens_fibering(p // 4)
+        out[_manifold_key(p, lens.q)] = [witness]
     # many keys share a q (2,806 keys, 282 q at p = 191, bound 96): key each q once
     keys = {q: _manifold_key(p, q) for q in set(walk.values())}
     for key in sorted(walk, key=_up_to_reversal):
-        out.setdefault(keys[walk[key]], []).append(key)
-    if p > 0 and p % 4 == 0:
-        # L(p, p/2 + 1), the lens of exceptional_lens_fibering(p // 4)
-        out.setdefault(_manifold_key(p, p // 2 + 1), []).insert(0, None)
+        out.setdefault(keys[walk[key]], []).append(CanonicalForm(0, 0, *key).invariant())
     return out
-
-
-def _fiberings(p: int, keys) -> list[SeifertInvariant]:
-    """The invariants of one group of ``_manifolds(p, bound)``."""
-    return [
-        exceptional_lens_fibering(p // 4)[0] if key is None
-        else CanonicalForm(0, 0, *key).invariant()
-        for key in keys
-    ]
 
 
 def manifold_fiberings(p: int, q: int, bound: int) -> list[SeifertInvariant]:
@@ -364,10 +355,9 @@ def manifold_fiberings(p: int, q: int, bound: int) -> list[SeifertInvariant]:
     up to isomorphism that may reverse orientation, for ``p >= 0`` and ``q``
     coprime to ``p``: the projective-plane fibering first when the manifold
     has it, then the two-fiber ones sorted by the smaller of each key and
-    its reversal's.  One group of ``_manifolds(p, bound)``, and only its
-    invariants are built."""
+    its reversal's.  One group of ``_manifolds(p, bound)``."""
     _check_manifold(p, q)
-    return _fiberings(p, _manifolds(p, bound).get(_manifold_key(p, q), ()))
+    return _manifolds(p, bound).get(_manifold_key(p, q), [])
 
 
 def lens_census(max_p: int, bound: int) -> dict[tuple[int, int], list[SeifertInvariant]]:
@@ -379,7 +369,7 @@ def lens_census(max_p: int, bound: int) -> dict[tuple[int, int], list[SeifertInv
     _check_bound(bound)
     census = {}
     for p in range(max_p + 1):
-        groups = {key: _fiberings(p, keys) for key, keys in _manifolds(p, bound).items()}
+        groups = _manifolds(p, bound)
         for q in range(p) if p else (1,):
             if math.gcd(p, q) == 1:
                 census[p, q] = list(groups.get(_manifold_key(p, q), ()))

@@ -34,7 +34,6 @@ from seifert import (
     fibered_lens_hvf,
     homeomorphic,
     homotopy_components,
-    lens_census,
     lens_from_invariant,
     marked_equal,
     normalize,
@@ -48,6 +47,7 @@ from seifert import (
     sphere,
     unit_tangent_invariant,
 )
+from seifert.lens import _manifold_key, _manifolds
 
 
 def report(n, text):
@@ -312,34 +312,34 @@ def test_criterion_06_zero_euler_parabolic_census():
 
 def _check_theorem1(max_p, bound):
     """Check Theorem 1's four-case verdict for every L(p, q) with p <= max_p
-    against its fiberings enumerated at the bound, read from one lens census
-    and each decided once; returns the case counts."""
-    census = lens_census(max_p, bound)
-    assert list(census) == [
-        (p, q) for p in range(max_p + 1) for q in (range(p) if p else (1,)) if math.gcd(p, q) == 1
-    ]
+    against its fiberings enumerated at the bound; returns the case counts.
+    Fiberings of different p never coincide, so one p is held at a time:
+    its manifolds' fiberings from one ``_manifolds`` call, each decided once
+    and shared by the markings of its manifold."""
     cases = {case: 0 for case in Theorem1Case}
-    decided = {}  # one decision per fibering: the markings of a manifold share theirs
-    for (p, q), fiberings in census.items():
-        verdict = classify_lens(p, q)
-        assert fiberings, (p, q)
-        for f in fiberings:
-            if f not in decided:
-                decided[f] = decide_hvf(f).exists
-        exists = [decided[f] for f in fiberings]
-        with_hvf = [f for f, e in zip(fiberings, exists) if e]
-        without = [f for f, e in zip(fiberings, exists) if not e]
-        if verdict.case is Theorem1Case.ALL_HAVE:
-            assert not without, (p, q)
-        elif verdict.case is Theorem1Case.NONE_HAVE:
-            assert not with_hvf, (p, q)
-        elif verdict.case is Theorem1Case.MIXED_INFINITE:
-            assert with_hvf and without, (p, q)
-        else:
-            assert len(with_hvf) == 1, (p, q)
-            assert unoriented_key(with_hvf[0]) == unoriented_key(verdict.witness)
-            assert equal(verdict.witness, SeifertInvariant(-1, ((p // 4, -1),)))
-        cases[verdict.case] += 1
+    for p in range(max_p + 1):
+        groups = _manifolds(p, bound)
+        exists = {key: [decide_hvf(f).exists for f in fs] for key, fs in groups.items()}
+        for q in range(p) if p else (1,):
+            if math.gcd(p, q) != 1:
+                continue
+            verdict = classify_lens(p, q)
+            key = _manifold_key(p, q)
+            fiberings = groups.get(key, [])
+            assert fiberings, (p, q)
+            with_hvf = [f for f, e in zip(fiberings, exists[key]) if e]
+            without = [f for f, e in zip(fiberings, exists[key]) if not e]
+            if verdict.case is Theorem1Case.ALL_HAVE:
+                assert not without, (p, q)
+            elif verdict.case is Theorem1Case.NONE_HAVE:
+                assert not with_hvf, (p, q)
+            elif verdict.case is Theorem1Case.MIXED_INFINITE:
+                assert with_hvf and without, (p, q)
+            else:
+                assert len(with_hvf) == 1, (p, q)
+                assert unoriented_key(with_hvf[0]) == unoriented_key(verdict.witness)
+                assert equal(verdict.witness, SeifertInvariant(-1, ((p // 4, -1),)))
+            cases[verdict.case] += 1
     assert all(cases.values()), cases
     return cases
 
@@ -384,6 +384,10 @@ def test_criterion_07_lens_classification_p80():
 
 def test_criterion_07_lens_classification_p128():
     _criterion_07(128, 64, all_have=2, mixed_infinite=252, exactly_one=62, none_have=4707)
+
+
+def test_criterion_07_lens_classification_p256():
+    _criterion_07(256, 128, all_have=2, mixed_infinite=508, exactly_one=126, none_have=19313)
 
 
 # --------------------------------------------------------------------------

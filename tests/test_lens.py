@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import inv, unoriented_key
 from seifert import (
     MarkedLens,
-    SeifertInvariant,
     Theorem1Case,
     classify_lens,
     decide_hvf,
@@ -671,24 +670,6 @@ class TestManifoldFiberings:
         lens_census(p, 5)
         assert calls == [(pp, 5) for pp in range(p + 1)]
 
-    def test_builds_only_its_manifolds_invariants(self, monkeypatch):
-        built = []
-        init = SeifertInvariant.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(SeifertInvariant, "__init__", counting_init)
-        genera = set()
-        for q in range(1, 64, 2):
-            built.clear()
-            fiberings = manifold_fiberings(64, q, 32)
-            assert len(built) == len(fiberings), q
-            genera.update(f.genus_code for f in fiberings)
-        # the projective-plane fibering of L(64, 33) is among them
-        assert genera == {0, -1}
-
     def test_census_rejects_bad_input_before_any_walk(self, monkeypatch):
         import seifert.lens as lens
 
@@ -724,6 +705,25 @@ class TestManifoldFiberings:
         for q, present in ((5, True), (7, True), (1, False), (11, False)):
             keys = {unoriented_key(f) for f in manifold_fiberings(12, q, 3)}
             assert (witness in keys) == present, q
+        # the manifolds of L(64, *) have genus-0 fiberings and, on L(64, 33),
+        # the projective-plane one
+        genera = {f.genus_code for q in range(1, 64, 2) for f in manifold_fiberings(64, q, 32)}
+        assert genera == {0, -1}
+
+    @pytest.mark.parametrize("bound", [1, 3])
+    def test_projective_plane_fibering_comes_first(self, bound):
+        # present exactly when 4 | p and q = p/2 +- 1 (mod p), and then first;
+        # the census agrees
+        census = lens_census(64, bound)
+        for (p, q), census_fiberings in census.items():
+            fiberings = manifold_fiberings(p, q, bound)
+            assert census_fiberings == fiberings, (p, q)
+            projective = [i for i, f in enumerate(fiberings) if f.genus_code == -1]
+            if p % 4 == 0 and p and q % p in ((p // 2 + 1) % p, (p // 2 - 1) % p):
+                assert projective == [0], (p, q)
+                assert fiberings[0] == inv(-1, (p // 4, -1)), (p, q)
+            else:
+                assert projective == [], (p, q)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
