@@ -6,7 +6,7 @@ isomorphism that may reverse orientation).
 
 import argparse
 
-from seifert import classify_lens, decide_hvf, lens_census, print_invariant
+from seifert import classify_lens, decide_hvf, lens_census, manifold_markings, print_invariant
 
 
 def main():
@@ -16,13 +16,14 @@ def main():
     args = parser.parse_args()
 
     print(f"{'L(p,q)':>8}  {'verdict':<15} {'with':>5} {'without':>8}  witness")
-    decided = {}  # one decision per fibering: the markings of a manifold share theirs
+    # fiberings with a field, per manifold by its first marking: its markings share them
+    with_field = {}
     for (p, q), fiberings in lens_census(args.max_p, args.bound).items():
         verdict = classify_lens(p, q)
-        for f in fiberings:
-            if f not in decided:
-                decided[f] = decide_hvf(f).exists
-        with_hvf = sum(decided[f] for f in fiberings)
+        manifold = manifold_markings(p, q)[0]
+        if manifold not in with_field:
+            with_field[manifold] = sum(decide_hvf(f).exists for f in fiberings)
+        with_hvf = with_field[manifold]
         witness = print_invariant(verdict.witness) if verdict.witness else ""
         print(
             f"L({p},{q})".rjust(8)

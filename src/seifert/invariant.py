@@ -117,10 +117,13 @@ class CanonicalForm(Record):
 
     def invariant(self) -> SeifertInvariant:
         """A representative SeifertInvariant, the ``(1, b)`` pair first."""
-        pairs = self.pairs
-        if self.b:
-            pairs = ((1, self.b),) + pairs
+        pairs = _with_shift(self.pairs, self.b)
         return SeifertInvariant(self.genus_code, pairs, self.boundary_count)
+
+
+def _with_shift(pairs: tuple, b: int | None) -> tuple:
+    """A representative's pairs: ``(1, b)``, unless b is 0 or None, then ``pairs``."""
+    return ((1, b),) + pairs if b else pairs
 
 
 def normalize(inv: SeifertInvariant) -> CanonicalForm:
@@ -192,9 +195,8 @@ def _unit_tangent(g: int, n: int, cone_orders) -> SeifertInvariant:
     points, then ``(a, -1)`` each.  ``_fold`` of it gives the orbifold's chi
     as ``x/P``, and when closed its Euler number is that chi.  The covering
     target, ``unit_tangent_invariant`` and every orbifold chi read it."""
-    chi_u = _chi_underlying(g, n)
     cones = tuple((a, a - 1) for a in sorted(cone_orders))
-    return SeifertInvariant(g, ((1, -chi_u),) + cones if n == 0 and chi_u else cones, n)
+    return SeifertInvariant(g, _with_shift(cones, 0 if n else -_chi_underlying(g, n)), n)
 
 
 def euler_number(inv: SeifertInvariant) -> Fraction:
@@ -260,8 +262,8 @@ def _flip(a: int, b: int) -> tuple[int, int]:
 # The unit tangent bundles of the 2222 orbifold and of the Klein bottle, by
 # canonical (genus code, pairs, b): the other one and the names of both bases.
 _KLEIN_UT = {
-    (0, ((2, 1),) * 4, -2): (SeifertInvariant(-2), "2222 orbifold", "Klein bottle"),
-    (-2, (), 0): (SeifertInvariant(0, ((1, -2),) + ((2, 1),) * 4), "Klein bottle", "2222 orbifold"),
+    (0, ((2, 1),) * 4, -2): (_unit_tangent(-2, 0, ()), "2222 orbifold", "Klein bottle"),
+    (-2, (), 0): (_unit_tangent(0, 0, (2,) * 4), "Klein bottle", "2222 orbifold"),
 }
 
 

@@ -40,7 +40,7 @@ from enum import Enum
 
 from ._record import Record
 from .errors import IncompatibleCover, NotALensForm, NotCoprime, ZeroDegree
-from .invariant import CanonicalForm, SeifertInvariant, normalize
+from .invariant import CanonicalForm, SeifertInvariant, _with_shift, normalize
 
 __all__ = [
     "MarkedLens",
@@ -321,7 +321,7 @@ def enumerate_lens_fiberings(target: MarkedLens, bound: int) -> list[SeifertInva
     """
     m, qs = _residues(target.p, target.q)
     found = sorted(key for key, q in _walk(target.p, bound).items() if q % m in qs)
-    return [CanonicalForm(0, 0, pairs, b).invariant() for pairs, b in found]
+    return [SeifertInvariant(0, _with_shift(pairs, b)) for pairs, b in found]
 
 
 def _up_to_reversal(key):
@@ -346,7 +346,7 @@ def _manifolds(p: int, bound: int) -> dict[int, list[SeifertInvariant]]:
     # many keys share a q (2,806 keys, 282 q at p = 191, bound 96): key each q once
     keys = {q: _manifold_key(p, q) for q in set(walk.values())}
     for key in sorted(walk, key=_up_to_reversal):
-        out.setdefault(keys[walk[key]], []).append(CanonicalForm(0, 0, *key).invariant())
+        out.setdefault(keys[walk[key]], []).append(SeifertInvariant(0, _with_shift(*key)))
     return out
 
 

@@ -55,7 +55,7 @@ from .hvf import (
     decide_hvf,
 )
 from .homotopy import ComponentCatalog, _catalog
-from .invariant import CanonicalForm, SeifertInvariant, _fold, normalize
+from .invariant import CanonicalForm, SeifertInvariant, _fold, _with_shift, normalize
 from .lens import MarkedLens, _lens, fibered_lens_hvf
 from . import orbifold as orb_mod
 
@@ -295,8 +295,7 @@ def _invariant_text(genus_code: int, boundary_count: int, pairs) -> str:
 
 def _canonical_text(cf: CanonicalForm) -> str:
     """Notation of a canonical form, the integer pair ``(1, b)`` first."""
-    pairs = ((1, cf.b),) + cf.pairs if cf.b else cf.pairs
-    return _invariant_text(cf.genus_code, cf.boundary_count, pairs)
+    return _invariant_text(cf.genus_code, cf.boundary_count, _with_shift(cf.pairs, cf.b))
 
 
 def print_invariant(inv: SeifertInvariant) -> str:

@@ -230,8 +230,8 @@ def form_class(p, k):
 
 
 class TestLinkingForm:
-    """The genus-0 fiberings of ``lens_census(48, 16)`` against their linking
-    forms.  The check is up to sign, so it cannot tell q from -q."""
+    """The 10,620 genus-0 fiberings of ``lens_census(96, 24)`` against their
+    linking forms.  The check is up to sign, so it cannot tell q from -q."""
 
     def test_oracle_on_known_lens_spaces(self):
         assert negative_chain(3, 2) == [2, 2]
@@ -243,13 +243,13 @@ class TestLinkingForm:
 
     @pytest.fixture(scope="class")
     def census(self):
-        census = lens_census(48, 16)
+        census = lens_census(96, 24)
         unique = {f: None for group in census.values() for f in group if f.genus_code == 0}
         return census, {f: linking_form(f) for f in unique}
 
     def test_lens_marking_has_the_linking_form(self, census):
         _, forms = census
-        assert len(forms) == 2411
+        assert len(forms) == 10620
         for fibering, (p, k) in forms.items():
             lens = lens_from_invariant(fibering)
             assert p == abs(lens.p), fibering
@@ -278,4 +278,4 @@ class TestLinkingForm:
                 continue
             tried += 1
             caught += form_class(p, k) != form_class(p, wrong)
-        assert (tried, caught) == (2130, 860)
+        assert (tried, caught) == (9989, 4072)

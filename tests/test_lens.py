@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import inv, unoriented_key
 from seifert import (
+    CanonicalForm,
     MarkedLens,
     Theorem1Case,
     classify_lens,
@@ -682,22 +683,29 @@ class TestManifoldFiberings:
 
     def test_no_marked_lens_per_key(self, monkeypatch):
         # the relations run on integers: the enumerator builds no MarkedLens,
-        # and the census at most the projective-plane lens once per p
+        # and the census at most the projective-plane lens once per p; each
+        # fibering is one SeifertInvariant, with no CanonicalForm on the way
         targets = [MarkedLens(pp, qq) for pp, qq in manifold_markings(12, 5)]
-        builds = []
-        init = MarkedLens.__init__
+        builds = {MarkedLens: [], CanonicalForm: []}
 
-        def counting_init(self, *args):
-            builds.append(args)
-            init(self, *args)
+        def count(cls):
+            init = cls.__init__
 
-        monkeypatch.setattr(MarkedLens, "__init__", counting_init)
+            def counting_init(self, *args):
+                builds[cls].append(args)
+                init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+
+        count(MarkedLens)
+        count(CanonicalForm)
         for target in targets:
             assert enumerate_lens_fiberings(target, 6)
-            assert builds == []
+            assert builds[MarkedLens] == []
         census = lens_census(16, 6)
         assert sum(map(len, census.values())) > 300
-        assert len(builds) <= 16 + 1
+        assert len(builds[MarkedLens]) <= 16 + 1
+        assert builds[CanonicalForm] == []
 
     def test_projective_plane_fibering(self):
         # L(12, q) carries it for q = 6 +- 1 only
