@@ -1,10 +1,13 @@
 """Tabulate, for every lens space L(p, q) with p up to a bound, how many of
 its Seifert fiberings carry a horizontal vector field, next to the counts
 found by brute-force enumeration of its fiberings (each counted once, up to
-isomorphism that may reverse orientation).
+isomorphism that may reverse orientation).  Exits 141 (128 + SIGPIPE, as a
+shell reports it) with nothing on stderr when the reader closes stdout early.
 """
 
 import argparse
+import os
+import sys
 
 from seifert import classify_lens, decide_hvf, lens_census, manifold_markings, print_invariant
 
@@ -14,11 +17,21 @@ def main():
     parser.add_argument("--max-p", type=int, default=12)
     parser.add_argument("--bound", type=int, default=8, help="enumeration bound")
     args = parser.parse_args()
+    try:
+        _print_table(args.max_p, args.bound)
+        sys.stdout.flush()  # a buffered write fails here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout; devnull absorbs the flush at exit ("Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return 0
 
+
+def _print_table(max_p, bound):
     print(f"{'L(p,q)':>8}  {'verdict':<15} {'with':>5} {'without':>8}  witness")
     # fiberings with a field, per manifold by its first marking: its markings share them
     with_field = {}
-    for (p, q), fiberings in lens_census(args.max_p, args.bound).items():
+    for (p, q), fiberings in lens_census(max_p, bound).items():
         verdict = classify_lens(p, q)
         manifold = manifold_markings(p, q)[0]
         if manifold not in with_field:
@@ -33,4 +46,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -13,16 +13,18 @@ The covering degrees form the "allowable degree set" D computed here: each
 exceptional fiber imposes ``d * b_i = -1 (mod a_i)``, and for a closed
 fibering the Euler numbers pin ``d * e = chi``.  With boundary, the Euler
 condition disappears and only the congruences remain, so one function,
-``decide_hvf``, decides closed and bounded fiberings alike.  Its ``_solve``
-folds the congruences into one class ``d = r (mod m)``, pair by pair in
-input order, with one modular inverse per pair, and then applies the Euler
-pin.  It reports a failure as integers and builds no record, so only
-``decide_hvf`` builds an obstruction, for a decision with no field.  The
-Euler pin is integer arithmetic: multiplied by the product P of the alphas,
-``d * e = chi`` reads ``d * -sum(b_i P/a_i) = chi_u P - sum((a_i - 1)
-P/a_i)``, so no orbifold and no fraction is built unless a decision with no
-field reports a mismatch.  The fold that gives e and chi over P is
-``invariant._fold``, which the report reads as well.  The covering target,
+``decide_hvf``, decides closed and bounded fiberings alike.  The pin
+decides first: a closed fibering with ``e != 0`` has one candidate, ``d =
+chi/e``, tested against each fiber's congruence, and one with ``e = 0`` has
+none unless ``chi = 0``.  Only where the answer is a class, with boundary
+or when ``e = chi = 0``, does ``_merge`` fold the congruences into one class
+``d = r (mod m)``, in input order, one modular inverse per cone point; a
+decision with no field runs it too, to name a clash.  The Euler pin is
+integer arithmetic: multiplied by the product P of the alphas, ``d * e =
+chi`` reads ``d * -sum(b_i P/a_i) = chi_u P - sum((a_i - 1) P/a_i)``, so no
+orbifold and no fraction is built unless a decision with no field reports a
+mismatch.  The fold that gives e and chi over P is ``invariant._fold``,
+which the report reads as well; a decision folds once.  The covering target,
 the base's unit tangent bundle, is the canonical form that
 ``invariant._unit_tangent`` builds, as ``unit_tangent_invariant`` is.
 """
@@ -152,52 +154,67 @@ class HvfDecision(Record):
 _EMPTY = EmptyDegrees()
 
 
-def _solve(inv: SeifertInvariant):
-    """The degree set of ``inv`` and, when it is empty, the first failed
-    condition as integers.  The congruences ``d * b = -1 (mod a)`` merge in
-    input order into one class ``d = r (mod m)``, ``r`` in ``[0, m)``.  The
-    failure is None when the set is non-empty; an int ``j`` when pair ``j``
-    is the first that contradicts the merge of the pairs before it; or the
-    4-tuple ``(eb, x, P, pin)`` of an Euler mismatch ``d * -eb = x`` over
-    the product P of the alphas.  Every empty set is the one ``_EMPTY``."""
+def _merge(pairs):
+    """The congruences ``d * b = -1 (mod a)`` merged in input order into one
+    class ``d = r (mod m)``, ``r`` in ``[0, m)``, as ``(r, m)``; or the index
+    ``j`` of the first pair that contradicts the merge of the pairs before
+    it.  One gcd and one modular inverse per cone point; ``a = 1`` imposes
+    nothing and is skipped."""
     r, m = 0, 1
-    for j, (a, b) in enumerate(inv.pairs):
+    for j, (a, b) in enumerate(pairs):
+        if a == 1:
+            continue
         # d = r + m*t solves pair j when m*b*t = -c (mod a); b is a unit mod
         # a, so this needs g | c, and then fixes t modulo a/g
         g = math.gcd(m, a)
         c = 1 + r * b
         if c % g:
-            return _EMPTY, j
-        step = a // g  # coprime to m // g; a == 1 gives step 1 and t = 0
+            return j
+        step = a // g  # coprime to m // g
         r += m * (-(c // g) * pow(m // g * b, -1, step) % step)
         m *= step
-    if not inv.closed:
-        return DegreeProgression(r, m), None
-    # over the product P of the alphas: e = -eb/P and chi = x/P
-    eb, x, p = _fold(inv)
-    if eb:
-        # d * e = chi is d * -eb = x
-        pin = -x // eb if x % eb == 0 else None
-        if pin is not None and pin != 0 and pin % m == r:
-            return SingleDegree(pin), None
-        return _EMPTY, (eb, x, p, pin)
-    if x == 0:
-        return DegreeProgression(r, m), None
-    return _EMPTY, (0, x, p, None)
+    return r, m
+
+
+def _solve(inv: SeifertInvariant, fold) -> DegreeSet:
+    """The degree set of ``inv``, given ``fold = _fold(inv)`` when closed and
+    None with boundary: the Euler pin first, and the merge only where the
+    answer is a class.  Every empty set is the one ``_EMPTY``."""
+    if fold is not None:
+        # over the product P of the alphas: e = -eb/P and chi = x/P
+        eb, x, _ = fold
+        if eb:
+            # d * e = chi is d * -eb = x
+            if x % eb:
+                return _EMPTY
+            pin = -x // eb
+            if not pin:
+                return _EMPTY
+            for a, b in inv.pairs:
+                if (pin * b + 1) % a:
+                    return _EMPTY
+            return SingleDegree(pin)
+        if x:
+            return _EMPTY
+    merged = _merge(inv.pairs)
+    if isinstance(merged, int):
+        return _EMPTY
+    return DegreeProgression(*merged)
 
 
 def allowable_degrees(inv: SeifertInvariant) -> DegreeSet:
     """Degrees of fiberwise coverings onto the base's unit tangent bundle.
 
-    Each pair demands ``d = -b_i^{-1} (mod a_i)``; the congruences merge into
-    a single class when compatible.  Closed case: a non-zero Euler number
-    pins ``d = chi/e`` (a single degree, valid only if it is a non-zero
-    integer in the class), while ``e = 0`` admits the whole class if
-    ``chi = 0`` and nothing otherwise.  With boundary the merged class is the
-    answer; its modulus divides the lcm of the alphas.  A failed condition
-    builds no record: every empty set is one shared ``EmptyDegrees()``.
+    Each pair demands ``d = -b_i^{-1} (mod a_i)``.  Closed case: the Euler
+    condition ``d * e = chi`` decides first.  A non-zero Euler number pins
+    ``d = chi/e``, a single degree, valid only if it is a non-zero integer
+    that meets every pair's congruence; ``e = 0`` admits nothing when
+    ``chi != 0``.  Only where the answer is a class, with boundary or when
+    ``e = chi = 0``, do the congruences merge into one; its modulus is the
+    lcm of the alphas.  A failed condition builds no record: every empty set
+    is one shared ``EmptyDegrees()``.
     """
-    return _solve(inv)[0]
+    return _solve(inv, _fold(inv) if inv.closed else None)
 
 
 def decide_hvf(inv: SeifertInvariant) -> HvfDecision:
@@ -206,32 +223,38 @@ def decide_hvf(inv: SeifertInvariant) -> HvfDecision:
     The section mechanism needs a bare base surface that carries a
     nowhere-zero vector field: any bounded one, or chi = 0 when closed (the
     torus and the Klein bottle).  The covering mechanism needs a non-empty
-    degree set; its target is the unit tangent bundle of the base, built in
-    canonical form by ``invariant._unit_tangent``.  With no field, the
-    obstruction is built here from the integers of ``_solve``.  For a clash
-    at pair ``j``, a gcd test on the earlier pairs names the first one that
-    contradicts pair ``j`` on its own.
+    degree set, decided as by ``allowable_degrees`` (the Euler pin first)
+    from one fold; its target is the unit tangent bundle of the base, built
+    in canonical form by ``invariant._unit_tangent``.  With no field, the
+    congruence merge names the obstruction: the first pair ``j`` that
+    contradicts the pairs before it gives a clash, and a gcd test on the
+    earlier pairs names the first one that contradicts pair ``j`` on its
+    own; with no clash the Euler condition failed.
     """
     cones = [a for a, _ in inv.pairs if a >= 2]
     mechanisms = []
     if not cones and (not inv.closed or _chi_underlying(inv.genus_code, inv.boundary_count) == 0):
         mechanisms.append(SurfaceSection())
-    degrees, obstruction = _solve(inv)
+    fold = _fold(inv) if inv.closed else None
+    degrees = _solve(inv, fold)
     if not degrees.is_empty():
         target = _unit_tangent(inv.genus_code, inv.boundary_count, cones)
         mechanisms.append(Covering(degrees, target))
     if mechanisms:
         return HvfDecision(True, tuple(mechanisms), None)
-    if isinstance(obstruction, int):
+    merged = _merge(inv.pairs)
+    if isinstance(merged, int):
         # pairwise solvability implies joint solvability, so some earlier
         # pair clashes with pair j on its own; -b^{-1} is a bijection on the
         # units mod gcd(a_k, a), so the betas tell it directly
-        j = obstruction
+        j = merged
         a, b = inv.pairs[j]
         i = next(k for k, (ak, bk) in enumerate(inv.pairs[:j]) if (bk - b) % math.gcd(ak, a))
         obstruction = CongruenceClash(i, j)
     else:
-        eb, x, p, pin = obstruction
+        # the congruences hold, so the fibering is closed and d * e = chi failed
+        eb, x, p = fold
+        pin = -x // eb if eb and x % eb == 0 else None
         obstruction = EulerMismatch(_fraction(-eb, p), _fraction(x, p), pin)
     return HvfDecision(False, (), obstruction)
 

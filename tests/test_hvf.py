@@ -2,6 +2,7 @@ import collections
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,7 @@ from seifert import (
     unit_tangent_invariant,
 )
 from seifert.errors import NotCoprime
+from seifert.invariant import _fold
 
 
 def brute_degrees(invariant, window):
@@ -454,6 +456,104 @@ class TestEntryPointsAgree:
         covering = [m for m in decide_hvf(invariant).mechanisms if isinstance(m, Covering)]
         expected = covering[0].degrees if covering else EmptyDegrees()
         assert allowable_degrees(invariant) == expected
+
+
+def _solve_oracle(inv):
+    """The merge-then-pin solve that the Euler-pin-first order replaced: the
+    congruences merge in input order into ``d = r (mod m)``, and only then
+    does a closed fibering apply the pin.  Returns the degree set and the
+    failure: None, the index ``j`` of the first clashing pair, or the
+    4-tuple ``(eb, x, P, pin)`` of an Euler mismatch."""
+    r, m = 0, 1
+    for j, (a, b) in enumerate(inv.pairs):
+        g = math.gcd(m, a)
+        c = 1 + r * b
+        if c % g:
+            return EmptyDegrees(), j
+        step = a // g
+        r += m * (-(c // g) * pow(m // g * b, -1, step) % step)
+        m *= step
+    if not inv.closed:
+        return DegreeProgression(r, m), None
+    eb, x, p = _fold(inv)
+    if eb:
+        pin = -x // eb if x % eb == 0 else None
+        if pin is not None and pin != 0 and pin % m == r:
+            return SingleDegree(pin), None
+        return EmptyDegrees(), (eb, x, p, pin)
+    if x == 0:
+        return DegreeProgression(r, m), None
+    return EmptyDegrees(), (0, x, p, None)
+
+
+def _obstruction_oracle(inv, failure):
+    """The record the merge-then-pin decision built from a failure of
+    ``_solve_oracle``; the earlier pair of a clash by the gcd scan."""
+    if isinstance(failure, int):
+        j = failure
+        a, b = inv.pairs[j]
+        i = next(k for k, (ak, bk) in enumerate(inv.pairs[:j]) if (bk - b) % math.gcd(ak, a))
+        return CongruenceClash(i, j)
+    eb, x, p, pin = failure
+    return EulerMismatch(Fraction(-eb, p), Fraction(x, p), pin)
+
+
+@st.composite
+def pin_first_invariants(draw):
+    """``clash_prone_pairs`` over genus codes -2..2 and 0..2 boundary
+    circles; a third of them append each pair's mirror ``(a, -b)``, so
+    that a closed one has e = 0."""
+    pairs = draw(clash_prone_pairs())
+    if draw(st.integers(0, 2)) == 0:
+        pairs += [(a, -b) for a, b in pairs]
+    return inv(draw(st.integers(-2, 2)), *pairs, boundary=draw(st.integers(0, 2)))
+
+
+class TestEulerPinFirst:
+    """The Euler pin first, the merge only for a class or to name a clash,
+    against the merge-then-pin oracle: the same degree set, mechanisms and
+    obstruction, with its ``(i, j)`` or its pin."""
+
+    @staticmethod
+    def _check(invariant):
+        degrees, failure = _solve_oracle(invariant)
+        assert allowable_degrees(invariant) == degrees, invariant
+        decision = decide_hvf(invariant)
+        section = all(a == 1 for a, _ in invariant.pairs) and (
+            not invariant.closed or chi_underlying(base_orbifold(invariant)) == 0
+        )
+        kinds = [SurfaceSection] * section + [Covering] * (not degrees.is_empty())
+        assert [type(m) for m in decision.mechanisms] == kinds, invariant
+        assert [m.degrees for m in decision.mechanisms if isinstance(m, Covering)] == (
+            [] if degrees.is_empty() else [degrees]
+        )
+        assert decision.exists == bool(kinds)
+        expected = None if kinds else _obstruction_oracle(invariant, failure)
+        assert decision.obstruction == expected, invariant
+
+    @settings(max_examples=500)
+    @given(pin_first_invariants())
+    def test_matches_merge_then_pin(self, invariant):
+        self._check(invariant)
+
+    @pytest.mark.parametrize(
+        "invariant",
+        [
+            inv(1),  # the torus: e = chi = 0
+            inv(1, (1, 3), (1, -3)),
+            inv(-2),  # M(-2;), the Klein bottle
+            inv(-2, (1, -1), (1, 1)),
+            unit_tangent_invariant(sphere(2, 2, 2, 2)),
+            inv(0, (3, 1), (3, 1), (3, -2)),  # e = chi = 0 over (3, 3, 3)
+            inv(0, (1, 0)),  # S^2 x S^1: e = 0, chi = 2
+            inv(1, (2, 1), (2, -1)),  # e = 0, chi = -1, congruences agree
+            inv(0, (3, 1), (3, -1)),  # e = 0 and a clash
+        ],
+        ids=repr,
+    )
+    def test_euler_number_zero(self, invariant):
+        assert euler_number(invariant) == 0
+        self._check(invariant)
 
 
 class TestRecordsPerSolve:

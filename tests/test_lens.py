@@ -315,6 +315,26 @@ class TestClassifyLens:
     def test_p_zero(self):
         assert classify_lens(0, 1).case is Theorem1Case.NONE_HAVE
 
+    def test_mixed_infinite_families(self):
+        """Theorem 1's "infinitely many" beyond any enumeration bound: for
+        p >= 3 and k >= 0, ``(0; (kp + p - 1, p))`` carries a field and
+        ``(0; (kp + 1, p))`` carries none, and both lie on the manifold of
+        L(p, 1).  Their alphas differ, so the fiberings are distinct; each
+        has e != 0, so its Euler pin decides it."""
+        from seifert.lens import _manifold_key
+
+        checked = 0
+        for p in range(3, 129):
+            key = _manifold_key(p, 1)
+            for k in range(100):
+                for alpha, carries in ((k * p + p - 1, True), (k * p + 1, False)):
+                    fibering = inv(0, (alpha, p))
+                    assert decide_hvf(fibering).exists is carries, fibering
+                    lens = lens_from_invariant(fibering)
+                    assert lens.p == p and _manifold_key(p, lens.q) == key, fibering
+                    checked += 1
+        assert checked == 25_200
+
     def test_negative_p_rejected(self):
         with pytest.raises(ValueError):
             classify_lens(-5, 1)

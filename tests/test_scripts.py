@@ -32,3 +32,23 @@ def test_script_output(script, args, golden):
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stderr == b""
     assert proc.stdout == (ROOT / "tests" / "golden" / golden).read_bytes()
+
+
+class TestClosedStdout:
+    """A reader that closes the table's pipe early ends the script with exit
+    141 (128 + SIGPIPE) and an empty stderr, as ``seifert`` ends, whether the
+    write fails in a ``print`` (unbuffered stdout) or in the final flush."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_reader_closes_after_first_bytes(self, unbuffered):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        # 219 KB of table, more than a pipe buffer holds
+        argv = [sys.executable, str(ROOT / "scripts" / "lens_classification_table.py"), "--max-p", "128", "--bound", "4"]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (141, b"")
