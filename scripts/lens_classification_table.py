@@ -9,7 +9,7 @@ import argparse
 import os
 import sys
 
-from seifert import classify_lens, decide_hvf, lens_census, manifold_markings, print_invariant
+from seifert import classify_lens, has_hvf, lens_census, manifold_markings, print_invariant
 
 
 def main():
@@ -35,7 +35,7 @@ def _print_table(max_p, bound):
         verdict = classify_lens(p, q)
         manifold = manifold_markings(p, q)[0]
         if manifold not in with_field:
-            with_field[manifold] = sum(decide_hvf(f).exists for f in fiberings)
+            with_field[manifold] = sum(map(has_hvf, fiberings))
         with_hvf = with_field[manifold]
         witness = print_invariant(verdict.witness) if verdict.witness else ""
         print(

@@ -8,9 +8,11 @@ null-homotopic.  The components are therefore in bijection with pairs
     (allowable degree) x (first cohomology of the underlying surface),
 
 where the cohomology is free abelian of rank ``2 * genus``.  The catalog is a
-view of the one HVF decision: no field means no catalog, the covering
-mechanism gives the degrees, and the section mechanism (over an oriented base,
-only the bare 2-torus has it) adds the degree-zero components.
+view of the one HVF decision, ``hvf._verdict``, whose mechanisms it reads: no
+field means no catalog, the covering mechanism gives the degrees, and the
+section mechanism (over an oriented base, only the bare 2-torus has it) adds
+the degree-zero components.  It builds no decision record, so no obstruction
+and no Fraction either.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ from .hvf import (
     DegreeProgression,
     DegreeSet,
     EmptyDegrees,
-    HvfDecision,
     SingleDegree,
     SurfaceSection,
-    decide_hvf,
+    _verdict,
 )
-from .invariant import SeifertInvariant
+from .invariant import SeifertInvariant, _fold
 
 __all__ = ["ComponentCatalog", "homotopy_components"]
 
@@ -54,15 +55,16 @@ def homotopy_components(inv: SeifertInvariant) -> ComponentCatalog:
         raise BoundaryNotSupported("homotopy classes are cataloged for closed fiberings")
     if inv.genus_code < 0:
         raise NonOrientedBase("homotopy classes are cataloged over oriented bases only")
-    return _catalog(inv, decide_hvf(inv))
+    mechanisms, _ = _verdict(inv, _fold(inv))
+    return _catalog(inv, mechanisms)
 
 
-def _catalog(inv: SeifertInvariant, decision: HvfDecision) -> ComponentCatalog:
-    """The catalog of a closed fibering over an oriented base, read off its
-    HVF decision."""
-    if not decision.exists:
+def _catalog(inv: SeifertInvariant, mechanisms: tuple) -> ComponentCatalog:
+    """The catalog of a closed fibering over an oriented base, read off the
+    mechanisms of its HVF decision; none means no field."""
+    if not mechanisms:
         raise NoHvf("no horizontal vector field exists on this fibering")
-    match decision.mechanisms:
+    match mechanisms:
         # the section mechanism, listed first, adds the degree-0 components
         case (SurfaceSection(), Covering(DegreeProgression(residue, modulus))):
             degrees = DegreeProgression(residue, modulus, include_zero=True)

@@ -22,11 +22,20 @@ or when ``e = chi = 0``, does ``_merge`` fold the congruences into one class
 decision with no field runs it too, to name a clash.  The Euler pin is
 integer arithmetic: multiplied by the product P of the alphas, ``d * e =
 chi`` reads ``d * -sum(b_i P/a_i) = chi_u P - sum((a_i - 1) P/a_i)``, so no
-orbifold and no fraction is built unless a decision with no field reports a
-mismatch.  The fold that gives e and chi over P is ``invariant._fold``,
-which the report reads as well; a decision folds once.  The covering target,
-the base's unit tangent bundle, is the canonical form that
-``invariant._unit_tangent`` builds, as ``unit_tangent_invariant`` is.
+orbifold and no fraction is built unless ``decide_hvf`` reports a mismatch.
+The fold that gives e and chi over P is ``invariant._fold``; a decision
+folds once.  The covering target, the base's unit tangent bundle, is the
+canonical form that ``invariant._unit_tangent`` builds, as
+``unit_tangent_invariant`` is.
+
+One body, ``_verdict``, decides: given the fold, it returns the mechanisms
+and, for a congruence clash, the two fiber indices as integers.
+``decide_hvf`` wraps it in records and is the one builder of the
+obstruction records and of a mismatch's two Fractions.  The report passes
+the fold it already holds for e and chi, and renders its verdict itself;
+the homotopy catalog reads the mechanisms.  ``has_hvf`` answers yes or no
+from the same section test, ``_section``, and the same solve, and builds
+no record.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ __all__ = [
     "EulerMismatch",
     "HvfDecision",
     "allowable_degrees",
+    "has_hvf",
     "decide_hvf",
     "boundary_tangency",
 ]
@@ -217,6 +227,57 @@ def allowable_degrees(inv: SeifertInvariant) -> DegreeSet:
     return _solve(inv, _fold(inv) if inv.closed else None)
 
 
+def _section(inv: SeifertInvariant) -> bool:
+    """Whether the section mechanism fires: no cone point, over a bare base
+    surface that carries a nowhere-zero vector field, which is any bounded
+    one, or one with chi = 0 when closed (the torus and the Klein bottle)."""
+    if inv.closed and _chi_underlying(inv.genus_code, 0):
+        return False
+    return all(a == 1 for a, _ in inv.pairs)
+
+
+def _pin(eb: int, x: int) -> int | None:
+    """The forced degree ``chi/e = -x/eb`` of a closed fibering, given its
+    fold's ``eb`` and ``x``, when that ratio is an integer; None otherwise."""
+    return -x // eb if eb and x % eb == 0 else None
+
+
+def _verdict(inv: SeifertInvariant, fold) -> tuple[tuple, tuple[int, int] | None]:
+    """The one decision body, given ``fold = _fold(inv)`` when closed and
+    None with boundary: ``(mechanisms, clash)``.  ``clash`` is the pair of
+    fiber indices ``(i, j)`` when a congruence clash blocks the field, and
+    None otherwise, so no mechanism and no clash is an Euler mismatch.  It
+    builds no obstruction record and no Fraction."""
+    mechanisms = []
+    if _section(inv):
+        mechanisms.append(SurfaceSection())
+    degrees = _solve(inv, fold)
+    if degrees is not _EMPTY:
+        cones = [a for a, _ in inv.pairs if a >= 2]
+        target = _unit_tangent(inv.genus_code, inv.boundary_count, cones)
+        mechanisms.append(Covering(degrees, target))
+    if mechanisms:
+        return tuple(mechanisms), None
+    merged = _merge(inv.pairs)
+    if isinstance(merged, int):
+        # pairwise solvability implies joint solvability, so some earlier
+        # pair clashes with pair j on its own; -b^{-1} is a bijection on the
+        # units mod gcd(a_k, a), so the betas tell it directly
+        j = merged
+        a, b = inv.pairs[j]
+        i = next(k for k, (ak, bk) in enumerate(inv.pairs[:j]) if (bk - b) % math.gcd(ak, a))
+        return (), (i, j)
+    # the congruences hold, so the fibering is closed and d * e = chi failed
+    return (), None
+
+
+def has_hvf(inv: SeifertInvariant) -> bool:
+    """Whether the fibering carries a horizontal vector field, closed or
+    bounded: ``decide_hvf(inv).exists``, by the same section test and the
+    same solve, with no record built."""
+    return _section(inv) or _solve(inv, _fold(inv) if inv.closed else None) is not _EMPTY
+
+
 def decide_hvf(inv: SeifertInvariant) -> HvfDecision:
     """Decide existence of a horizontal vector field, closed or bounded.
 
@@ -229,34 +290,19 @@ def decide_hvf(inv: SeifertInvariant) -> HvfDecision:
     congruence merge names the obstruction: the first pair ``j`` that
     contradicts the pairs before it gives a clash, and a gcd test on the
     earlier pairs names the first one that contradicts pair ``j`` on its
-    own; with no clash the Euler condition failed.
+    own; with no clash the Euler condition failed.  The decision is
+    ``_verdict``'s, which the report reads too; this function adds only the
+    records, and is the one builder of the obstruction records and the
+    mismatch's two Fractions.
     """
-    cones = [a for a, _ in inv.pairs if a >= 2]
-    mechanisms = []
-    if not cones and (not inv.closed or _chi_underlying(inv.genus_code, inv.boundary_count) == 0):
-        mechanisms.append(SurfaceSection())
     fold = _fold(inv) if inv.closed else None
-    degrees = _solve(inv, fold)
-    if not degrees.is_empty():
-        target = _unit_tangent(inv.genus_code, inv.boundary_count, cones)
-        mechanisms.append(Covering(degrees, target))
+    mechanisms, clash = _verdict(inv, fold)
     if mechanisms:
-        return HvfDecision(True, tuple(mechanisms), None)
-    merged = _merge(inv.pairs)
-    if isinstance(merged, int):
-        # pairwise solvability implies joint solvability, so some earlier
-        # pair clashes with pair j on its own; -b^{-1} is a bijection on the
-        # units mod gcd(a_k, a), so the betas tell it directly
-        j = merged
-        a, b = inv.pairs[j]
-        i = next(k for k, (ak, bk) in enumerate(inv.pairs[:j]) if (bk - b) % math.gcd(ak, a))
-        obstruction = CongruenceClash(i, j)
-    else:
-        # the congruences hold, so the fibering is closed and d * e = chi failed
-        eb, x, p = fold
-        pin = -x // eb if eb and x % eb == 0 else None
-        obstruction = EulerMismatch(_fraction(-eb, p), _fraction(x, p), pin)
-    return HvfDecision(False, (), obstruction)
+        return HvfDecision(True, mechanisms, None)
+    if clash is not None:
+        return HvfDecision(False, (), CongruenceClash(*clash))
+    eb, x, p = fold
+    return HvfDecision(False, (), EulerMismatch(_fraction(-eb, p), _fraction(x, p), _pin(eb, x)))
 
 
 def boundary_tangency(inv: SeifertInvariant) -> bool:

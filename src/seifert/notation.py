@@ -35,6 +35,11 @@ The JSON report schema is documented in the README; its field names are a
 frozen contract.  The report reads its base orbifold, geometry, Euler number
 and chi off the invariant's pairs, through the one integer fold
 ``invariant._fold``: no ``Orbifold`` and no ``Fraction`` is built for it.
+A closed report passes the same fold to the decision body ``hvf._verdict``
+and renders its ``hvf`` section from the integers it returns, with the one
+renderer ``_hvf_json`` that ``decision_json`` uses for a decision record:
+the report builds no decision record, and an Euler mismatch shows the
+report's own e and chi strings.
 """
 
 from __future__ import annotations
@@ -52,7 +57,8 @@ from .hvf import (
     EulerMismatch,
     HvfDecision,
     SingleDegree,
-    decide_hvf,
+    _pin,
+    _verdict,
 )
 from .homotopy import ComponentCatalog, _catalog
 from .invariant import CanonicalForm, SeifertInvariant, _fold, _with_shift, normalize
@@ -358,28 +364,37 @@ def _obstruction_json(obs) -> dict | None:
     }
 
 
-def decision_json(decision: HvfDecision) -> dict:
-    """The decision's JSON form; the covering's degrees and target, rendered
-    once, also stand at the top level (empty and null without a covering).
-    The target is printed from its pairs as they stand: the decision builds
-    it canonical."""
-    mechanisms = []
+def _hvf_json(exists: bool, mechanisms, obstruction: dict | None) -> dict:
+    """The ``hvf`` section from a verdict, its mechanisms and its
+    obstruction's JSON form: the one renderer of a decision, for
+    ``decision_json`` and the report.  The target is printed from its pairs
+    as they stand: the decision builds it canonical."""
+    rendered = []
     degrees, target = degree_set_json(EmptyDegrees()), None
-    for mech in decision.mechanisms:
+    for mech in mechanisms:
         if isinstance(mech, Covering):
             t = mech.target
             degrees = degree_set_json(mech.degrees)
             target = _invariant_text(t.genus_code, t.boundary_count, t.pairs)
-            mechanisms.append({"kind": "covering", "degrees": degrees, "target": target})
+            rendered.append({"kind": "covering", "degrees": degrees, "target": target})
         else:
-            mechanisms.append({"kind": "surface_section"})
+            rendered.append({"kind": "surface_section"})
     return {
-        "exists": decision.exists,
-        "mechanisms": mechanisms,
+        "exists": exists,
+        "mechanisms": rendered,
         "degrees": degrees,
         "target": target,
-        "obstruction": _obstruction_json(decision.obstruction),
+        "obstruction": obstruction,
     }
+
+
+def decision_json(decision: HvfDecision) -> dict:
+    """The decision's JSON form, the ``hvf`` section of its report; the
+    covering's degrees and target, rendered once, also stand at the top
+    level (empty and null without a covering)."""
+    return _hvf_json(
+        decision.exists, decision.mechanisms, _obstruction_json(decision.obstruction)
+    )
 
 
 def catalog_json(catalog: ComponentCatalog) -> dict:
@@ -403,26 +418,38 @@ def invariant_report(text: str, inv: SeifertInvariant) -> dict:
     base orbifold is read off the genus code, the boundary count and the
     canonical form's sorted alphas, and e and chi come from one fold over
     the product of the alphas.  The one canonical form serves the normalized
-    invariant, the cone orders and the lens section.
+    invariant, the cone orders and the lens section.  The same fold decides
+    a closed fibering, through ``hvf._verdict``: the report builds no
+    decision record, and an Euler mismatch renders e and chi from the
+    fold's strings, so no Fraction either.  The ``hvf`` section equals
+    ``decision_json(decide_hvf(inv))``.
     """
     cf = normalize(inv)
     cones = [a for a, _ in cf.pairs]
-    eb, x, p = _fold(inv)
-    decision = decide_hvf(inv)
+    fold = eb, x, p = _fold(inv)
+    euler = _ratio_str(-eb, p) if inv.closed else None
+    chi = _ratio_str(x, p)
+    mechanisms, clash = _verdict(inv, fold if inv.closed else None)
+    if mechanisms:
+        obstruction = None
+    elif clash is not None:
+        obstruction = {"kind": "congruence_clash", "i": clash[0], "j": clash[1]}
+    else:
+        obstruction = {"kind": "euler_mismatch", "euler": euler, "chi": chi, "pin": _pin(eb, x)}
     report = {
         "input": text,
         "normalized_invariant": _canonical_text(cf),
         "base_orbifold": _orbifold_text(inv.genus_code, cones, inv.boundary_count),
         "geometry": orb_mod._geometry(inv.genus_code, cones, x).value if inv.closed else None,
-        "euler_number": _ratio_str(-eb, p) if inv.closed else None,
-        "chi": _ratio_str(x, p),
-        "hvf": decision_json(decision),
+        "euler_number": euler,
+        "chi": chi,
+        "hvf": _hvf_json(bool(mechanisms), mechanisms, obstruction),
     }
     if inv.closed:
         try:
             report["lens"] = lens_json(_lens(cf))
         except NotALensForm:
             pass
-        if inv.genus_code >= 0 and decision.exists:
-            report["homotopy"] = catalog_json(_catalog(inv, decision))
+        if inv.genus_code >= 0 and mechanisms:
+            report["homotopy"] = catalog_json(_catalog(inv, mechanisms))
     return report

@@ -32,6 +32,7 @@ from seifert import (
     fiberings_over,
     fiberwise_quotient,
     fibered_lens_hvf,
+    has_hvf,
     homeomorphic,
     homotopy_components,
     lens_from_invariant,
@@ -226,6 +227,52 @@ def test_criterion_04_elliptic_degrees_at_most_two():
     )
 
 
+def test_criterion_04_every_shift():
+    """Criterion 4 for every integer shift, not a box of them: d * e = chi
+    with d >= 1 and chi > 0 needs 0 < e <= chi, and e = -s - b for the sum s
+    of the ratios beta/alpha, so for each choice of betas only the shifts b
+    with -s - chi <= b < -s can carry a positive degree.  The window is
+    computed here with Fractions, and the shift just outside it on either
+    side is checked to carry none."""
+    start = time.time()
+    checked = twos = outside = 0
+    for base in elliptic_orbifolds(60):
+        g, orders = base.genus_code, base.cone_orders
+        x = (2 if g == 0 else 1) - sum(1 - Fraction(1, a) for a in orders)
+        pp = g >= 0 and len(set(orders)) <= 1
+        alpha = orders[0] if orders else 1
+        family = _degree_two_family(alpha) if pp and alpha % 2 else None
+        units = [[c for c in range(1, a) if math.gcd(a, c) == 1] for a in orders]
+        for betas in itertools.product(*units):
+            cones = tuple(zip(orders, betas))
+            s = sum(Fraction(c, a) for a, c in cones)
+            low, high = math.ceil(-s - x), math.ceil(-s) - 1
+            for b in range(low - 1, high + 2):
+                inv = SeifertInvariant(g, cones + ((1, b),) if b else cones)
+                degrees = allowable_degrees(inv)
+                assert not isinstance(degrees, DegreeProgression)
+                positive = isinstance(degrees, SingleDegree) and degrees.d > 0
+                if not low <= b <= high:
+                    assert not positive, inv
+                    outside += 1
+                    continue
+                assert 0 < -s - b <= x
+                checked += 1
+                if not positive:
+                    continue
+                assert degrees.d in (1, 2), inv
+                is_family = family is not None and equal(inv, family)
+                assert (degrees.d == 2) == is_family, inv
+                twos += degrees.d == 2
+    elapsed = time.time() - start
+    assert (checked, twos, outside) == (1571, 30, 66202)  # twos: odd alpha in 1..59
+    report(
+        4,
+        f"elliptic scan over every shift: {checked} fiberings in the windows, "
+        f"{twos} degree-two hits, {outside} beside them in {elapsed:.1f}s",
+    )
+
+
 # --------------------------------------------------------------------------
 # 5. The named instances come out exactly.
 
@@ -314,12 +361,12 @@ def _check_theorem1(max_p, bound):
     """Check Theorem 1's four-case verdict for every L(p, q) with p <= max_p
     against its fiberings enumerated at the bound; returns the case counts.
     Fiberings of different p never coincide, so one p is held at a time:
-    its manifolds' fiberings from one ``_manifolds`` call, each decided once
-    and shared by the markings of its manifold."""
+    its manifolds' fiberings from one ``_manifolds`` call, each decided once,
+    by ``has_hvf``, and shared by the markings of its manifold."""
     cases = {case: 0 for case in Theorem1Case}
     for p in range(max_p + 1):
         groups = _manifolds(p, bound)
-        exists = {key: [decide_hvf(f).exists for f in fs] for key, fs in groups.items()}
+        exists = {key: [has_hvf(f) for f in fs] for key, fs in groups.items()}
         for q in range(p) if p else (1,):
             if math.gcd(p, q) != 1:
                 continue

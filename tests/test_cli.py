@@ -358,12 +358,14 @@ class TestOrbifoldsPerQuery:
             (["hvf", "M(0; (3,2), (6,1))", "--json"], 0),  # congruence clash
             (["boundary-hvf", "M(2, 1; (2,1), (4,1))", "--json"], 0),
             (["boundary-hvf", "M(-1, 1;)", "--json"], 0),
-            # an Euler mismatch carries its e and chi as Fractions
-            (["hvf", "M(0; (2,1), (3,1), (5,1))", "--json"], 2),
+            # an Euler mismatch renders its e and chi from the report's fold
+            (["hvf", "M(0; (2,1), (3,1), (5,1))", "--json"], 0),
             # the section fires on the torus and the Klein bottle, so their
             # Euler mismatch is never reported
             (["hvf", "M(1; (1,1))", "--json"], 0),
             (["hvf", "M(-2; (1,3))", "--json"], 0),
+            # the catalog reads the mechanisms alone, so a mismatch builds none
+            (["homotopy", "M(0; (2,1), (3,1), (5,1))", "--json"], 0),
         ],
     )
     def test_fraction_builds(self, capsys, monkeypatch, argv, built):

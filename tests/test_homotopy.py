@@ -92,8 +92,8 @@ class TestAgainstDecision:
         )
     )
     def test_report_section_is_the_catalog(self, invariant):
-        # the report reaches the catalog through the decision it holds, and
-        # homotopy_components through a decision of its own
+        # the report reaches the catalog through the mechanisms it holds,
+        # and homotopy_components through a verdict of its own
         report = invariant_report(print_invariant(invariant), invariant)
         try:
             catalog = homotopy_components(invariant)

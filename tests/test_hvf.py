@@ -1,6 +1,7 @@
 import collections
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -28,7 +29,10 @@ from seifert import (
     equal,
     euler_number,
     fiberwise_quotient,
+    has_hvf,
+    invariant_report,
     normalize,
+    print_invariant,
     reverse_orientation,
     sphere,
     unit_tangent_invariant,
@@ -581,6 +585,50 @@ class TestRecordsPerSolve:
         assert built == without, (built, without)
         # the grid has decisions of both kinds
         assert without["CongruenceClash"] > 1000 and without["EulerMismatch"] > 1000, without
+        # the report renders its obstruction from the decision body's integers
+        built.clear()
+        for invariant in grid:
+            invariant_report("", invariant)
+        assert not built["CongruenceClash"] and not built["EulerMismatch"], built
+
+    def test_decision_builds_two_fractions(self, monkeypatch):
+        # only the public record carries e and chi as Fractions
+        calls = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            calls.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        decision = decide_hvf(inv(0, (2, 1), (3, 1), (5, 1)))
+        assert len(calls) == 2
+        assert decision.obstruction == EulerMismatch(Fraction(-31, 30), Fraction(1, 30), None)
+
+    @pytest.mark.parametrize(
+        "invariant",
+        [
+            inv(0, (1, -1), (5, 2), (5, 2), (5, 2)),  # a covering, with a homotopy section
+            inv(1, (1, 1)),  # the section over the torus
+            inv(0, (2, 1), (3, 1), (5, 1)),  # an Euler mismatch
+            inv(0, (3, 2), (6, 1)),  # a congruence clash
+            inv(0, (3, 1), (3, -1)),  # e = 0 and a clash
+        ],
+        ids=repr,
+    )
+    def test_closed_report_folds_once(self, monkeypatch, invariant):
+        # the report's e and chi and its decision read one fold
+        calls = []
+
+        def counting(invariant):
+            calls.append(invariant)
+            return _fold(invariant)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("seifert") and getattr(module, "_fold", None) is _fold:
+                monkeypatch.setattr(module, "_fold", counting)
+        invariant_report(print_invariant(invariant), invariant)
+        assert len(calls) == 1
 
 
 @st.composite
@@ -593,6 +641,21 @@ def mixed_invariants(draw):
     )
     pairs = draw(st.lists(st.one_of(integer_pair, cone_point), max_size=3))
     return inv(draw(st.integers(-4, 4)), *pairs, boundary=draw(st.integers(0, 3)))
+
+
+class TestHasHvf:
+    """``has_hvf`` answers the decision's yes or no by the same section test
+    and solve, as ``TestEntryPointsAgree`` binds ``allowable_degrees``."""
+
+    @settings(max_examples=300)
+    @given(pin_first_invariants())
+    def test_matches_decision_on_clashes_and_mirrors(self, invariant):
+        assert has_hvf(invariant) == decide_hvf(invariant).exists, invariant
+
+    @settings(max_examples=300)
+    @given(mixed_invariants())
+    def test_matches_decision_on_sections(self, invariant):
+        assert has_hvf(invariant) == decide_hvf(invariant).exists, invariant
 
 
 class TestOneSurfaceRule:

@@ -8,15 +8,19 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import bounded_invariants, closed_invariants
 from test_cli import MALFORMATIONS, fuzz_invariant
+from test_hvf import pin_first_invariants
 from seifert import (
     Orbifold,
     SeifertInvariant,
     annulus,
     base_orbifold,
+    catalog_json,
     chi,
+    decision_json,
     equal,
     euler_number,
     geometry_class,
+    homotopy_components,
     invariant_report,
     normalize,
     parse_invariant,
@@ -530,6 +534,39 @@ class TestReportFields:
         )
         fields = ("base_orbifold", "geometry", "euler_number", "chi")
         assert tuple(report[key] for key in fields) == expected
+
+
+class TestReportIsTheDecision:
+    """The report decides through the decision body and renders the result
+    itself; its sections are what the public records render to."""
+
+    @staticmethod
+    def _check(invariant):
+        report = invariant_report(print_invariant(invariant), invariant)
+        assert report["hvf"] == decision_json(decide_hvf(invariant))
+        catalogued = invariant.closed and invariant.genus_code >= 0 and report["hvf"]["exists"]
+        assert ("homotopy" in report) == catalogued
+        if catalogued:
+            assert report["homotopy"] == catalog_json(homotopy_components(invariant))
+
+    @settings(max_examples=300)
+    @given(pin_first_invariants())
+    def test_sections_match_records(self, invariant):
+        self._check(invariant)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "M(0; (1,-1), (2,1), (6,1))",  # pin 2, outside the congruence class
+            "M(0; (3,1), (3,1), (3,1))",  # pin 0: e = -1, chi = 0
+            "M(0; (2,1), (3,1), (5,1))",  # no integer pin
+            "M(0; (3,2), (6,1))",  # a congruence clash
+            "M(1; (1,1))",  # the section over the torus
+            "M(0, 1; (3,1), (6,5))",  # a clash with boundary
+        ],
+    )
+    def test_named_verdicts(self, text):
+        self._check(parse_invariant(text))
 
 
 class TestRoundTrips:
