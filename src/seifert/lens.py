@@ -27,7 +27,10 @@ horizontal vector field exactly when ``p != 0`` and ``q = -1 (mod p)``.
 Both rules live in one integer helper, ``_residues``, and every fibering
 with a given ``p`` in one walk, ``_walk(p, bound)``, keyed by its canonical
 pairs and shift.  The walk runs over canonical residues, not integer
-lifts, so it meets each fibering once.  ``enumerate_lens_fiberings`` keeps
+lifts, so it meets each fibering once.  Each first residue's inverse,
+Bezout companion and window depend on the bound alone: ``_rows(bound)``
+holds them for the last bound walked, and each key's ``q`` is one
+multiply-add on its row.  ``enumerate_lens_fiberings`` keeps
 the keys of one marking; ``_manifolds`` builds each manifold's fiberings,
 the projective-plane one included, each once up to reversal, for
 ``manifold_fiberings`` and ``lens_census``.
@@ -35,6 +38,7 @@ the projective-plane one included, each once up to reversal, for
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
@@ -244,9 +248,10 @@ def exceptional_lens_fibering(alpha: int) -> tuple[SeifertInvariant, MarkedLens]
 # Largest bound ``_check_bound`` accepts, for the walk and the census.  The walk
 # makes at most bound*(bound + 1)/2 candidates, one per (a1, r1, a2), and each is
 # at most one fibering: 20,100 candidates for 6,117 fiberings at p = 0, and
-# 12,232 candidates, all fiberings, for L(1, 0) at this cap.  The slowest query,
-# ``seifert enumerate-lens 1 0 200 --json``, takes about 0.11 s per process on a
-# 2-CPU x86-64 host with CPython 3.11.7.
+# 12,232 candidates, all fiberings, for L(1, 0) at this cap.  ``_rows`` holds one
+# bound's rows at a time: 12,232 rows, about 1.3 MB, at this cap.  The slowest
+# query, ``seifert enumerate-lens 1 0 200 --json``, takes about 0.1 s per
+# process on a 2-CPU x86-64 host with CPython 3.11.7.
 MAX_ENUMERATION_BOUND = 200
 
 
@@ -272,6 +277,20 @@ def _check_bound(bound: int) -> None:
         raise ValueError(f"bound must be at most {MAX_ENUMERATION_BOUND}")
 
 
+@functools.lru_cache(maxsize=1)
+def _rows(bound: int) -> tuple:
+    """``_walk``'s rows at this bound, one ``(a1, r1, u, c1, lo1, hi1)`` per
+    ``a1 <= bound`` and unit ``r1`` mod ``a1``: ``u = r1^{-1}`` mod ``a1``
+    (``pow(0, -1, 1)`` is 0), ``c1 = (1 - r1*u)/a1`` and the window."""
+    rows = []
+    for a1 in range(1, bound + 1):
+        for r1 in range(a1):
+            if math.gcd(r1, a1) == 1:
+                u = pow(r1, -1, a1)
+                rows.append((a1, r1, u, (1 - r1 * u) // a1, -((bound + r1) // a1), (bound - r1) // a1))
+    return tuple(rows)
+
+
 def _walk(p: int, bound: int) -> dict:
     """Every two-fiber genus-zero fibering with ``p = a1*b2 + a2*b1``,
     ``a_i <= bound`` and ``|b_i| <= bound``, as ``{(pairs, b): q}``: its
@@ -280,32 +299,32 @@ def _walk(p: int, bound: int) -> dict:
     The canonical form writes ``b_i = q_i*a_i + r_i`` with ``0 <= r_i < a_i``
     and shift ``b = q1 + q2``, so ``p = a1*a2*b + a1*r2 + a2*r1``.  The walk
     takes ``a1 <= a2`` and a unit ``r1`` mod ``a1`` (``r1 = 0`` when
-    ``a1 = 1``); then ``a1`` divides ``p - a2*r1`` only for ``a2`` in the
-    class ``p * r1^{-1}`` mod ``a1``, and for each such ``a2`` the quotient
-    ``t = (p - a2*r1)/a1 = a2*b + r2`` gives ``b`` and ``r2`` by one
-    divmod, and ``r2`` must be a unit mod ``a2``.  The integer parts ``q_i``
-    with ``|q_i*a_i + r_i| <= bound`` are the interval
+    ``a1 = 1``), a row of ``_rows(bound)``; ``a1`` divides ``p - a2*r1``
+    only for ``a2`` in the class ``p*u`` mod ``a1``, and for each such
+    ``a2`` the quotient ``t = (p - a2*r1)/a1 = a2*b + r2`` gives ``b`` and
+    ``r2`` by one divmod, and ``r2`` must be a unit mod ``a2``.  The
+    integer parts ``q_i`` with ``|q_i*a_i + r_i| <= bound`` are the interval
     ``[lo_i, hi_i] = [-floor((bound + r_i)/a_i), floor((bound - r_i)/a_i)]``,
     so some lift of the key has both betas in range exactly when ``b`` lies
     in ``[lo1 + lo2, hi1 + hi2]``.  With ``r1 <= r2`` when ``a1 = a2``,
     each fibering is one candidate.
+
+    The key's ``q`` is ``_lens_pq(a1, r1 + b*a1, a2, r2)[1]``: there
+    ``alpha1' = -u``, as ``r1 + b*a1 = r1 (mod a1)``, and ``beta1' = c1 -
+    b*u``, so ``q = -u*r2 + a2*(c1 - b*u) = a2*c1 - u*t``.
     """
     _check_bound(bound)
     walk = {}
-    for a1 in range(1, bound + 1):
-        for r1 in range(a1):
-            if math.gcd(r1, a1) != 1:
+    for a1, r1, u, c1, lo1, hi1 in _rows(bound):
+        for a2 in range(a1 + p * u % a1, bound + 1, a1):
+            t = (p - a2 * r1) // a1
+            b, r2 = divmod(t, a2)
+            if math.gcd(r2, a2) != 1 or (a1 == a2 and r2 < r1):
                 continue
-            lo1, hi1 = -((bound + r1) // a1), (bound - r1) // a1
-            # pow(0, -1, 1) is 0, so a1 = 1 takes every a2
-            for a2 in range(a1 + p * pow(r1, -1, a1) % a1, bound + 1, a1):
-                b, r2 = divmod((p - a2 * r1) // a1, a2)
-                if math.gcd(r2, a2) != 1 or (a1 == a2 and r2 < r1):
-                    continue
-                if lo1 - (bound + r2) // a2 <= b <= hi1 + (bound - r2) // a2:
-                    # normalize's key: (1, 0) dropped, pairs already sorted
-                    pairs = ((a1, r1), (a2, r2)) if a1 > 1 else ((a2, r2),) if a2 > 1 else ()
-                    walk[pairs, b] = _lens_pq(a1, r1 + b * a1, a2, r2)[1]
+            if lo1 - (bound + r2) // a2 <= b <= hi1 + (bound - r2) // a2:
+                # normalize's key: (1, 0) dropped, pairs already sorted
+                pairs = ((a1, r1), (a2, r2)) if a1 > 1 else ((a2, r2),) if a2 > 1 else ()
+                walk[pairs, b] = a2 * c1 - u * t
     return walk
 
 

@@ -474,6 +474,30 @@ def test_criterion_08_lens_marking_well_defined():
     )
 
 
+def test_criterion_08_every_census_fibering():
+    # every genus-0 fibering that criterion 7 meets at p <= 128, bound 64:
+    # its marking is on its own manifold, and gives the decision's verdict
+    start = time.time()
+    checked = 0
+    for p in range(129):
+        for key, fiberings in _manifolds(p, 64).items():
+            for f in fiberings:
+                if f.genus_code != 0:
+                    continue
+                lens = lens_from_invariant(f)
+                assert abs(lens.p) == p and _manifold_key(lens.p, lens.q) == key, f
+                assert decide_hvf(f).exists == fibered_lens_hvf(lens), f
+                checked += 1
+    assert checked == 98993
+    elapsed = time.time() - start
+    assert elapsed < 60
+    report(
+        8,
+        f"marking on its manifold and consistent with the decision procedure "
+        f"on all {checked} genus-0 census fiberings at p <= 128, bound 64, in {elapsed:.1f}s",
+    )
+
+
 # --------------------------------------------------------------------------
 # 9. Property suites.
 

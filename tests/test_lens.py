@@ -558,15 +558,19 @@ def window_edges(draw, max_bound=8):
     return inv(0, (a1, r1 + b * a1), (a2, r2)), bound
 
 
+# (p, bound) of the walk comparisons: every p that can have a fibering at
+# bounds up to 12 and one more on each side, and four at large bounds
+_WALK_CASES = [(p, b) for b in range(1, 13) for p in range(-2 * b * b - 1, 2 * b * b + 2)]
+_WALK_CASES += [(1, 200), (0, 200), (128, 64), (-77, 150)]
+
+
 class TestWalk:
     def test_matches_old_walk(self):
         # the same keys, and each q in the old q's marked class; at p = 0,
         # where the marked class ignores q, both give q = 1
         from seifert.lens import _residues, _walk
 
-        cases = [(p, b) for b in range(1, 13) for p in range(-2 * b * b - 1, 2 * b * b + 2)]
-        cases += [(1, 200), (0, 200), (128, 64), (-77, 150)]
-        for p, bound in cases:
+        for p, bound in _WALK_CASES:
             new, old = _walk(p, bound), _walk_oracle(p, bound)
             assert new.keys() == old.keys(), (p, bound)
             for key, q in old.items():
@@ -574,6 +578,51 @@ class TestWalk:
                 assert new[key] % m in qs, (p, bound, key)
                 if p == 0:
                     assert new[key] == q == 1, (bound, key)
+
+    def test_q_is_lens_pq(self):
+        # the walk's multiply-add a2*c1 - u*t is _lens_pq's q of the key,
+        # padded in front with (1, 0) as the walk takes a1 <= a2
+        from seifert.lens import _lens_pq, _walk
+
+        for p, bound in _WALK_CASES:
+            for (pairs, b), q in _walk(p, bound).items():
+                (a1, r1), (a2, r2) = [(1, 0)] * (2 - len(pairs)) + list(pairs)
+                assert q == _lens_pq(a1, r1 + b * a1, a2, r2)[1], (p, bound, pairs, b)
+
+    def test_rows_are_the_units_with_their_inverse_and_window(self):
+        from seifert.lens import _rows
+
+        # at the cap, one row per unit: the totients of 1..200 sum to 12,232
+        assert len(_rows(MAX_ENUMERATION_BOUND)) == 12232
+        for bound in (*range(1, 13), 40, 64):
+            expected = []
+            for a1 in range(1, bound + 1):
+                for r1 in range(a1):
+                    if math.gcd(r1, a1) != 1:
+                        continue
+                    u = next(u for u in range(a1) if (r1 * u - 1) % a1 == 0)
+                    c1 = (1 - r1 * u) // a1
+                    assert a1 * c1 + r1 * u == 1
+                    lifts = [k for k in range(-2 * bound, 2 * bound + 1) if abs(k * a1 + r1) <= bound]
+                    expected.append((a1, r1, u, c1, min(lifts), max(lifts)))
+            assert list(_rows(bound)) == expected, bound
+
+    def test_rows_cache_holds_one_bound(self):
+        from seifert.lens import _rows, _walk
+
+        for bound in (0, -1, MAX_ENUMERATION_BOUND + 1):
+            before = _rows.cache_info()
+            with pytest.raises(ValueError):
+                _walk(1, bound)
+            assert _rows.cache_info() == before, bound
+        walks = []
+        for bound in (8, 24, 8):
+            walks.append({p: _walk(p, bound) for p in range(-30, 31)})
+            assert _rows.cache_info().currsize <= 1
+        for bound, warm in zip((8, 24, 8), walks):
+            _rows.cache_clear()
+            assert {p: _walk(p, bound) for p in range(-30, 31)} == warm, bound
+            assert _rows.cache_info().currsize == 1
 
     @settings(max_examples=80, deadline=None)
     @given(window_edges())
