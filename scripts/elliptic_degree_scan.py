@@ -1,6 +1,8 @@
 """Scan Seifert fiberings over elliptic orbifolds for fiberwise covers of the
 unit tangent bundle, confirming that positive covering degrees never exceed
-two and listing the two-fiber family where degree two occurs.
+two and listing the two-fiber family where degree two occurs.  A scan with
+no positive degree reports the largest as "none"; a negative --b-range
+exits 2.
 """
 
 import argparse
@@ -21,6 +23,8 @@ def main():
     parser.add_argument("--max-order", type=int, default=11)
     parser.add_argument("--b-range", type=int, default=32)
     args = parser.parse_args()
+    if args.b_range < 0:
+        parser.error("--b-range must be non-negative")
 
     hits = []
     scanned = 0
@@ -30,7 +34,7 @@ def main():
             degrees = allowable_degrees(inv)
             if isinstance(degrees, SingleDegree) and degrees.d > 0:
                 hits.append((degrees.d, inv))
-    top = max(d for d, _ in hits)
+    top = max((d for d, _ in hits), default="none")
     print(f"scanned {scanned} fiberings; largest positive covering degree: {top}")
     print("\nfiberings that cover with degree 2:")
     for d, inv in hits:

@@ -1,15 +1,17 @@
 """Tabulate, for every lens space L(p, q) with p up to a bound, how many of
 its Seifert fiberings carry a horizontal vector field, next to the counts
 found by brute-force enumeration of its fiberings (each counted once, up to
-isomorphism that may reverse orientation).  Exits 141 (128 + SIGPIPE, as a
-shell reports it) with nothing on stderr when the reader closes stdout early.
+isomorphism that may reverse orientation).  A bad --max-p or --bound exits
+2 with one error line on stderr and nothing on stdout.  Exits 141 (128 +
+SIGPIPE, as a shell reports it) with nothing on stderr when the reader
+closes stdout early.
 """
 
 import argparse
 import os
 import sys
 
-from seifert import classify_lens, has_hvf, lens_census, manifold_markings, print_invariant
+from seifert import classify_lens, has_hvf, iter_lens_census, manifold_markings, print_invariant
 
 
 def main():
@@ -18,7 +20,12 @@ def main():
     parser.add_argument("--bound", type=int, default=8, help="enumeration bound")
     args = parser.parse_args()
     try:
-        _print_table(args.max_p, args.bound)
+        census = iter_lens_census(args.max_p, args.bound)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    try:
+        _print_table(census)
         sys.stdout.flush()  # a buffered write fails here, not at exit
     except BrokenPipeError:
         # the reader closed stdout; devnull absorbs the flush at exit ("Note on SIGPIPE")
@@ -27,11 +34,11 @@ def main():
     return 0
 
 
-def _print_table(max_p, bound):
+def _print_table(census):
     print(f"{'L(p,q)':>8}  {'verdict':<15} {'with':>5} {'without':>8}  witness")
     # fiberings with a field, per manifold by its first marking: its markings share them
     with_field = {}
-    for (p, q), fiberings in lens_census(max_p, bound).items():
+    for (p, q), fiberings in census:
         verdict = classify_lens(p, q)
         manifold = manifold_markings(p, q)[0]
         if manifold not in with_field:

@@ -33,7 +33,9 @@ holds them for the last bound walked, and each key's ``q`` is one
 multiply-add on its row.  ``enumerate_lens_fiberings`` keeps
 the keys of one marking; ``_manifolds`` builds each manifold's fiberings,
 the projective-plane one included, each once up to reversal, for
-``manifold_fiberings`` and ``lens_census``.
+``manifold_fiberings`` and ``iter_lens_census``, the one loop over every
+coprime ``(p, q)`` up to ``max_p``: it streams one ``p`` at a time, and
+``lens_census`` is its dict.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ __all__ = [
     "manifold_markings",
     "manifold_fiberings",
     "lens_census",
+    "iter_lens_census",
     "MAX_ENUMERATION_BOUND",
 ]
 
@@ -379,17 +382,27 @@ def manifold_fiberings(p: int, q: int, bound: int) -> list[SeifertInvariant]:
     return _manifolds(p, bound).get(_manifold_key(p, q), [])
 
 
-def lens_census(max_p: int, bound: int) -> dict[tuple[int, int], list[SeifertInvariant]]:
-    """``{(p, q): manifold_fiberings(p, q, bound)}`` for ``(0, 1)`` and every
-    coprime ``0 <= q < p <= max_p``, in that order, from one walk per ``p``.
-    A negative ``max_p`` or a bad bound raises ValueError before any walk."""
+def iter_lens_census(max_p: int, bound: int):
+    """``lens_census(max_p, bound)``'s items, ``((p, q), fiberings)`` in its
+    order, one ``p``'s manifolds held at a time.  A negative ``max_p`` or a
+    bad bound raises ValueError at the call, before any walk."""
     if max_p < 0:
         raise ValueError("max_p must be non-negative")
     _check_bound(bound)
-    census = {}
+    return _census(max_p, bound)
+
+
+def _census(max_p: int, bound: int):
     for p in range(max_p + 1):
         groups = _manifolds(p, bound)
         for q in range(p) if p else (1,):
             if math.gcd(p, q) == 1:
-                census[p, q] = list(groups.get(_manifold_key(p, q), ()))
-    return census
+                yield (p, q), list(groups.get(_manifold_key(p, q), ()))
+        del groups  # freed before the next p's walk
+
+
+def lens_census(max_p: int, bound: int) -> dict[tuple[int, int], list[SeifertInvariant]]:
+    """``{(p, q): manifold_fiberings(p, q, bound)}`` for ``(0, 1)`` and every
+    coprime ``0 <= q < p <= max_p``, in that order, from one walk per ``p``.
+    A negative ``max_p`` or a bad bound raises ValueError before any walk."""
+    return dict(iter_lens_census(max_p, bound))

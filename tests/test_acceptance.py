@@ -35,7 +35,9 @@ from seifert import (
     has_hvf,
     homeomorphic,
     homotopy_components,
+    iter_lens_census,
     lens_from_invariant,
+    manifold_markings,
     marked_equal,
     normalize,
     oriented_diffeomorphic,
@@ -48,7 +50,6 @@ from seifert import (
     sphere,
     unit_tangent_invariant,
 )
-from seifert.lens import _manifold_key, _manifolds
 
 
 def report(n, text):
@@ -360,33 +361,34 @@ def test_criterion_06_zero_euler_parabolic_census():
 def _check_theorem1(max_p, bound):
     """Check Theorem 1's four-case verdict for every L(p, q) with p <= max_p
     against its fiberings enumerated at the bound; returns the case counts.
-    Fiberings of different p never coincide, so one p is held at a time:
-    its manifolds' fiberings from one ``_manifolds`` call, each decided once,
-    by ``has_hvf``, and shared by the markings of its manifold."""
+    The fiberings come from ``iter_lens_census``, which holds one p at a
+    time.  Each manifold's fiberings are decided once, by ``has_hvf``, keyed
+    by its first marking and shared by its other markings; fiberings of
+    different p never coincide, so those decisions are dropped when p
+    changes."""
     cases = {case: 0 for case in Theorem1Case}
-    for p in range(max_p + 1):
-        groups = _manifolds(p, bound)
-        exists = {key: [has_hvf(f) for f in fs] for key, fs in groups.items()}
-        for q in range(p) if p else (1,):
-            if math.gcd(p, q) != 1:
-                continue
-            verdict = classify_lens(p, q)
-            key = _manifold_key(p, q)
-            fiberings = groups.get(key, [])
-            assert fiberings, (p, q)
-            with_hvf = [f for f, e in zip(fiberings, exists[key]) if e]
-            without = [f for f, e in zip(fiberings, exists[key]) if not e]
-            if verdict.case is Theorem1Case.ALL_HAVE:
-                assert not without, (p, q)
-            elif verdict.case is Theorem1Case.NONE_HAVE:
-                assert not with_hvf, (p, q)
-            elif verdict.case is Theorem1Case.MIXED_INFINITE:
-                assert with_hvf and without, (p, q)
-            else:
-                assert len(with_hvf) == 1, (p, q)
-                assert unoriented_key(with_hvf[0]) == unoriented_key(verdict.witness)
-                assert equal(verdict.witness, SeifertInvariant(-1, ((p // 4, -1),)))
-            cases[verdict.case] += 1
+    exists, last_p = {}, None
+    for (p, q), fiberings in iter_lens_census(max_p, bound):
+        if p != last_p:
+            exists, last_p = {}, p
+        verdict = classify_lens(p, q)
+        assert fiberings, (p, q)
+        manifold = manifold_markings(p, q)[0]
+        if manifold not in exists:
+            exists[manifold] = [has_hvf(f) for f in fiberings]
+        with_hvf = [f for f, e in zip(fiberings, exists[manifold]) if e]
+        without = [f for f, e in zip(fiberings, exists[manifold]) if not e]
+        if verdict.case is Theorem1Case.ALL_HAVE:
+            assert not without, (p, q)
+        elif verdict.case is Theorem1Case.NONE_HAVE:
+            assert not with_hvf, (p, q)
+        elif verdict.case is Theorem1Case.MIXED_INFINITE:
+            assert with_hvf and without, (p, q)
+        else:
+            assert len(with_hvf) == 1, (p, q)
+            assert unoriented_key(with_hvf[0]) == unoriented_key(verdict.witness)
+            assert equal(verdict.witness, SeifertInvariant(-1, ((p // 4, -1),)))
+        cases[verdict.case] += 1
     assert all(cases.values()), cases
     return cases
 
@@ -479,15 +481,19 @@ def test_criterion_08_every_census_fibering():
     # its marking is on its own manifold, and gives the decision's verdict
     start = time.time()
     checked = 0
-    for p in range(129):
-        for key, fiberings in _manifolds(p, 64).items():
-            for f in fiberings:
-                if f.genus_code != 0:
-                    continue
-                lens = lens_from_invariant(f)
-                assert abs(lens.p) == p and _manifold_key(lens.p, lens.q) == key, f
-                assert decide_hvf(f).exists == fibered_lens_hvf(lens), f
-                checked += 1
+    seen = set()
+    for (p, q), fiberings in iter_lens_census(128, 64):
+        markings = manifold_markings(p, q)
+        if markings[0] in seen:
+            continue  # the census lists a manifold's fiberings under each marking
+        seen.add(markings[0])
+        for f in fiberings:
+            if f.genus_code != 0:
+                continue
+            lens = lens_from_invariant(f)
+            assert abs(lens.p) == p and (lens.p, lens.q) in markings, f
+            assert decide_hvf(f).exists == fibered_lens_hvf(lens), f
+            checked += 1
     assert checked == 98993
     elapsed = time.time() - start
     assert elapsed < 60

@@ -17,6 +17,7 @@ from seifert import (
     exceptional_lens_fibering,
     fibered_lens_hvf,
     homeomorphic,
+    iter_lens_census,
     lens_census,
     lens_cover,
     lens_from_invariant,
@@ -714,9 +715,11 @@ class TestManifoldFiberings:
     def test_census_keys_are_the_coprime_pairs(self, max_p, bound):
         # every manifold is present, in order, also those with no fibering
         # in range
-        assert list(lens_census(max_p, bound)) == [(0, 1)] + [
+        keys = [(0, 1)] + [
             (p, q) for p in range(1, max_p + 1) for q in range(p) if math.gcd(p, q) == 1
         ]
+        assert list(lens_census(max_p, bound)) == keys
+        assert [key for key, _ in iter_lens_census(max_p, bound)] == keys
 
     @pytest.mark.parametrize("p, q", [(0, 1), (1, 0), (2, 1), (7, 2), (12, 5), (12, 1), (16, 7)])
     def test_one_walk_per_call(self, monkeypatch, p, q):
@@ -739,6 +742,10 @@ class TestManifoldFiberings:
             calls.clear()
         lens_census(p, 5)
         assert calls == [(pp, 5) for pp in range(p + 1)]
+        calls.clear()
+        # the census streams: its first item walks p = 0 only
+        next(iter_lens_census(200, 5))
+        assert calls == [(0, 5)]
 
     def test_census_rejects_bad_input_before_any_walk(self, monkeypatch):
         import seifert.lens as lens
@@ -748,6 +755,9 @@ class TestManifoldFiberings:
         for max_p, bound in ((-1, 3), (5, 0), (5, MAX_ENUMERATION_BOUND + 1)):
             with pytest.raises(ValueError):
                 lens_census(max_p, bound)
+            # the stream checks at the call, before its first next()
+            with pytest.raises(ValueError):
+                iter_lens_census(max_p, bound)
         assert calls == []
 
     def test_no_marked_lens_per_key(self, monkeypatch):

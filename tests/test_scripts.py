@@ -21,17 +21,52 @@ RUNS = [
 ]
 
 
-@pytest.mark.parametrize("script, args, golden", RUNS, ids=[s for s, _, _ in RUNS])
-def test_script_output(script, args, golden):
-    proc = subprocess.run(
+def run_script(script, *args):
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize("script, args, golden", RUNS, ids=[s for s, _, _ in RUNS])
+def test_script_output(script, args, golden):
+    proc = run_script(script, *args)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stderr == b""
     assert proc.stdout == (ROOT / "tests" / "golden" / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--max-p", "-1"], "max_p must be non-negative"),
+        (["--bound", "0"], "bound must be a positive integer"),
+        (["--bound", "201"], "bound must be at most 200"),
+    ],
+)
+def test_table_refuses_bad_arguments(args, message):
+    # refused before the header: exit 2, one error line, nothing on stdout
+    proc = run_script("lens_classification_table.py", *args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", f"error: {message}\n".encode())
+
+
+def test_elliptic_scan_with_no_hits():
+    # --b-range 0 finds no positive degree: the largest is reported as none
+    proc = run_script("elliptic_degree_scan.py", "--max-order", "3", "--b-range", "0")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode().splitlines() == [
+        "scanned 17 fiberings; largest positive covering degree: none",
+        "",
+        "fiberings that cover with degree 2:",
+    ]
+
+
+def test_elliptic_scan_refuses_negative_b_range():
+    proc = run_script("elliptic_degree_scan.py", "--b-range", "-3")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode().splitlines()[-1].endswith("error: --b-range must be non-negative")
 
 
 class TestClosedStdout:
