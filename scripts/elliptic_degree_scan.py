@@ -1,11 +1,13 @@
 """Scan Seifert fiberings over elliptic orbifolds for fiberwise covers of the
 unit tangent bundle, confirming that positive covering degrees never exceed
 two and listing the two-fiber family where degree two occurs.  A scan with
-no positive degree reports the largest as "none"; a negative --b-range
-exits 2.
+no positive degree reports the largest as "none".  Its exit codes are those of
+``seifert``: a negative --b-range exits 2, and a reader that closes stdout
+early ends it with 141 and nothing on stderr.
 """
 
 import argparse
+import sys
 
 from seifert import (
     SingleDegree,
@@ -16,6 +18,7 @@ from seifert import (
     print_invariant,
     print_orbifold,
 )
+from seifert.cli import run
 
 
 def main():
@@ -40,7 +43,8 @@ def main():
     for d, inv in hits:
         if d == 2:
             print(f"  {print_invariant(inv):<28} over {print_orbifold(base_orbifold(inv))}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run(main))

@@ -1,17 +1,17 @@
 """Tabulate, for every lens space L(p, q) with p up to a bound, how many of
 its Seifert fiberings carry a horizontal vector field, next to the counts
 found by brute-force enumeration of its fiberings (each counted once, up to
-isomorphism that may reverse orientation).  A bad --max-p or --bound exits
-2 with one error line on stderr and nothing on stdout.  Exits 141 (128 +
-SIGPIPE, as a shell reports it) with nothing on stderr when the reader
-closes stdout early.
+isomorphism that may reverse orientation).  Its exit codes are those of
+``seifert``: a bad --max-p or --bound exits 2 with one error line on stderr
+before the header, so nothing on stdout, and a reader that closes stdout
+early ends it with 141 and nothing on stderr.
 """
 
 import argparse
-import os
 import sys
 
 from seifert import classify_lens, has_hvf, iter_lens_census, manifold_markings, print_invariant
+from seifert.cli import run
 
 
 def main():
@@ -19,18 +19,7 @@ def main():
     parser.add_argument("--max-p", type=int, default=12)
     parser.add_argument("--bound", type=int, default=8, help="enumeration bound")
     args = parser.parse_args()
-    try:
-        census = iter_lens_census(args.max_p, args.bound)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    try:
-        _print_table(census)
-        sys.stdout.flush()  # a buffered write fails here, not at exit
-    except BrokenPipeError:
-        # the reader closed stdout; devnull absorbs the flush at exit ("Note on SIGPIPE")
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+    _print_table(iter_lens_census(args.max_p, args.bound))  # refuses bad arguments before the header
     return 0
 
 
@@ -53,4 +42,4 @@ def _print_table(census):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run(main))

@@ -2,8 +2,13 @@
 
 For each of the seven orbifolds with chi = 0, print the Seifert invariant of
 its unit tangent bundle, whether the bundle equals its own orientation
-reversal, and the congruence class of covering degrees.
+reversal, and the congruence class of covering degrees.  Its exit codes are
+those of ``seifert``: an unknown argument exits 2, and a reader that closes
+stdout early ends it with 141 and nothing on stderr.
 """
+
+import argparse
+import sys
 
 from seifert import (
     allowable_degrees,
@@ -19,6 +24,7 @@ from seifert import (
     torus,
     unit_tangent_invariant,
 )
+from seifert.cli import run
 
 BASES = [
     torus(),
@@ -32,6 +38,7 @@ BASES = [
 
 
 def main():
+    argparse.ArgumentParser(description=__doc__).parse_args()
     print(f"{'base':>10}  {'unit tangent bundle':<42} {'UT = -UT':<9} self-cover degrees")
     for base in BASES:
         ut = unit_tangent_invariant(base)
@@ -41,7 +48,8 @@ def main():
             f"{print_orbifold(base):>10}  {print_invariant(ut):<42} "
             f"{'yes' if symmetric else 'no':<9} {degree_set_str(degrees)}"
         )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run(main))

@@ -4,7 +4,8 @@ One process answers one query.  Results go to stdout (human-readable by
 default, machine-readable with --json); diagnostics go to stderr.  Exit
 codes: 0 for any computed answer (including negative ones), 2 for parse or
 validation errors, 1 for an internal invariant violation, 141 (128 + SIGPIPE,
-as a shell reports it) when the reader closes stdout early.
+as a shell reports it) when the reader closes stdout early.  ``run`` applies
+these codes to ``main`` and to each script in scripts/, so all end alike.
 """
 
 from __future__ import annotations
@@ -388,11 +389,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def run(entry, *args) -> int:
+    """Call ``entry(*args)`` and return its exit code: what it returns once
+    stdout is flushed, 141 when the reader closed stdout, 2 on a
+    ``ValueError`` and 1 on any other exception."""
     try:
-        code = args.handler(args)
+        code = entry(*args)
         sys.stdout.flush()  # a buffered write fails here, not at exit
         return code
     except BrokenPipeError:
@@ -402,11 +404,16 @@ def main(argv=None) -> int:
     except ValueError as err:  # SeifertError subclasses ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except Exception:  # pragma: no cover - internal invariant violation
+    except Exception:  # an internal invariant violation
         import traceback  # only here, to keep it off every query's import
 
         traceback.print_exc(file=sys.stderr)
         return 1
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    return run(args.handler, args)
 
 
 if __name__ == "__main__":

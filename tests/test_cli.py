@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from seifert import cli
 from seifert.cli import main
 
 
@@ -196,6 +197,20 @@ class TestExitCodes:
     def test_bad_orbifold_token(self, capsys):
         code, _, err = run(capsys, "ut", "2 3 seven")
         assert code == 2
+
+    @staticmethod
+    def _raise(exc):
+        raise exc
+
+    def test_run_exit_codes(self, capsys):
+        # any other exception is an internal error: exit 1 and its traceback
+        assert cli.run(self._raise, ZeroDivisionError("division by zero")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("ZeroDivisionError: division by zero\n")
+        # a ValueError is an input error: exit 2 and one line
+        assert cli.run(self._raise, ValueError("x")) == 2
+        assert capsys.readouterr().err == "error: x\n"
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
