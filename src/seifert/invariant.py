@@ -72,9 +72,7 @@ class SeifertInvariant(Record):
             if boundary_count < 0:
                 raise ValueError("boundary count must be non-negative")
             pairs = tuple(checked)
-        object.__setattr__(self, "genus_code", genus_code)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "boundary_count", boundary_count)
+        self._store(genus_code, pairs, boundary_count)
 
     @property
     def closed(self) -> bool:
@@ -176,15 +174,15 @@ def _chi_underlying(g: int, n: int) -> int:
 def _fold(inv: SeifertInvariant) -> tuple[int, int, int]:
     """The Euler number and the base orbifold's chi over one denominator, the
     product P of the alphas: ``(eb, x, P)`` with ``e = -eb/P`` and ``chi =
-    x/P``, from ``eb = sum(b_i P/a_i)`` and ``x = chi_u P - sum((a_i - 1)
-    P/a_i)``.  Integer arithmetic only; neither ratio need be in lowest
-    terms."""
-    eb, cone, p = 0, 0, 1
+    x/P``, from ``eb = sum(b_i P/a_i)`` and, for n pairs, ``x = (chi_u - n)
+    P + sum(P/a_i)``.  Integer arithmetic only; neither ratio need be in
+    lowest terms."""
+    eb, s, p = 0, 0, 1
     for a, b in inv.pairs:
         eb = eb * a + b * p
-        cone = cone * a + (a - 1) * p
+        s = s * a + p
         p *= a
-    return eb, _chi_underlying(inv.genus_code, inv.boundary_count) * p - cone, p
+    return eb, (_chi_underlying(inv.genus_code, inv.boundary_count) - len(inv.pairs)) * p + s, p
 
 
 def _unit_tangent(g: int, n: int, cone_orders) -> SeifertInvariant:

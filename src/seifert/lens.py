@@ -85,8 +85,7 @@ class MarkedLens(Record):
     def __init__(self, p, q):
         if math.gcd(p, q) != 1:
             raise NotCoprime(message=f"p = {p} and q = {q} are not coprime")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q % abs(p) if p != 0 else 1)
+        self._store(p, q % abs(p) if p != 0 else 1)
 
     def __str__(self):
         return f"L({self.p}, {self.q})"

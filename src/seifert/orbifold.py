@@ -77,9 +77,7 @@ class Orbifold(Record):
             raise ValueError(f"cone orders must be integers, not {given!r}")
         if any(a < 1 for a in orders):
             raise ValueError("cone orders must be positive integers")
-        object.__setattr__(self, "genus_code", genus_code)
-        object.__setattr__(self, "cone_orders", tuple(sorted(a for a in orders if a > 1)))
-        object.__setattr__(self, "boundary_count", boundary_count)
+        self._store(genus_code, tuple(sorted(a for a in orders if a > 1)), boundary_count)
 
     @property
     def closed(self) -> bool:

@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import apply_random_moves, closed_invariants, inv
+from conftest import apply_random_moves, closed_invariants, coprime_pairs, inv
 from seifert import (
     alternate_fiberings,
     annulus,
@@ -24,6 +25,7 @@ from seifert.errors import (
     NotCoprime,
     ZeroDegree,
 )
+from seifert.invariant import _fold
 
 
 class TestType:
@@ -230,6 +232,22 @@ class TestAlternateFiberings:
     def test_boundary_rejected(self):
         with pytest.raises(BoundaryNotSupported):
             alternate_fiberings(inv(0, boundary=1))
+
+
+@given(
+    st.integers(-3, 3),
+    st.integers(0, 2),
+    st.lists(st.one_of(coprime_pairs(), st.tuples(st.just(1), st.integers(-12, 12))), max_size=6),
+)
+def test_fold_is_its_definition(genus, boundary, pairs):
+    """``_fold`` against the sums it stands for.  Pairs with ``a = 1`` are
+    drawn often: each adds nothing to chi, though it adds P to ``n P`` and
+    to ``sum(P/a_i)`` alike."""
+    eb, x, p = _fold(inv(genus, *pairs, boundary=boundary))
+    chi_u = (2 - 2 * genus if genus >= 0 else 2 + genus) - boundary
+    assert p == math.prod(a for a, _ in pairs)
+    assert Fraction(-eb, p) == -sum(Fraction(b, a) for a, b in pairs)
+    assert Fraction(x, p) == chi_u - sum(1 - Fraction(1, a) for a, _ in pairs)
 
 
 @given(

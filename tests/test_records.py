@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import seifert
 from seifert import (
     AlternateFibering,
     CanonicalForm,
@@ -57,6 +58,15 @@ class Checked(Record):
 
     def __init__(self, n):
         object.__setattr__(self, "n", int(n))
+
+
+class Stored(Record):
+    """A test record whose constructor converts, then stores through ``_store``."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n):
+        self._store(int(n))
 
 
 # (record, literal repr, field names, a record of the same type that differs)
@@ -518,3 +528,70 @@ class TestGeneratedConstructor:
             class Bad(Record):
                 __slots__ = ("left", "right")
                 _defaults = {"left": 0}
+
+
+EXPORTED_RECORDS = [
+    value for value in vars(seifert).values() if isinstance(value, type) and issubclass(value, Record)
+]
+CONVERTING = [
+    SeifertInvariant(0, ((2, 1), (3, -1)), 1),
+    MarkedLens(5, 7),
+    Orbifold(0, (7, 1, 3)),
+]
+
+
+class TestStore:
+    """Every record writes its fields through its own ``_store``: the
+    constructor itself, or the last call of a constructor that converts."""
+
+    def test_every_exported_record_has_a_store(self):
+        assert len(EXPORTED_RECORDS) == 15
+        for cls in EXPORTED_RECORDS:
+            assert "_store" in cls.__dict__, cls
+            if cls in (SeifertInvariant, MarkedLens, Orbifold):
+                assert cls.__init__ is not cls._store
+            else:
+                assert cls.__init__ is cls._store, cls
+
+    @pytest.mark.parametrize("record", CONVERTING, ids=lambda record: type(record).__name__)
+    def test_converting_records_stay_read_only(self, record):
+        for name in type(record).__slots__:
+            with pytest.raises(AttributeError, match="cannot assign"):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError, match="cannot delete"):
+                delattr(record, name)
+
+    @pytest.mark.parametrize(
+        "make, error",
+        [
+            (lambda: SeifertInvariant(0, ((4, 2),)), NotCoprime),
+            (lambda: SeifertInvariant(0, ((0, 1),)), ValueError),
+            (lambda: SeifertInvariant(0, (), -1), ValueError),
+            (lambda: SeifertInvariant(0.5), ValueError),
+            (lambda: MarkedLens(4, 2), NotCoprime),
+            (lambda: Orbifold(0, (2, 0)), ValueError),
+            (lambda: Orbifold(0, (2.5,)), ValueError),
+        ],
+    )
+    def test_bad_input_is_refused(self, make, error):
+        with pytest.raises(error):
+            make()
+
+    def test_plain_pairs_are_stored_as_given(self):
+        pairs = ((1, -1), (2, 1), (3, 1))
+        assert SeifertInvariant(-1, pairs, 2).pairs is pairs
+
+    def test_written_constructor_stores_the_converted_value(self):
+        record = Stored(Fraction(6, 2))
+        assert record.n == 3 and type(record.n) is int
+        assert record == Stored(3) and repr(record) == "Stored(n=3)"
+
+    @pytest.mark.parametrize("cls", [Pair, Unit, Stored, SeifertInvariant, MarkedLens])
+    def test_store_with_the_wrong_number_of_fields(self, cls):
+        record = object.__new__(cls)
+        too_many = (0,) * (len(cls.__slots__) + 1)
+        with pytest.raises(TypeError):
+            record._store(*too_many)
+        if cls.__slots__:
+            with pytest.raises(TypeError):
+                record._store()
