@@ -27,11 +27,13 @@ horizontal vector field exactly when ``p != 0`` and ``q = -1 (mod p)``.
 Both rules live in one integer helper, ``_residues``, and every fibering
 with a given ``p`` in one walk, ``_walk(p, bound)``, keyed by its canonical
 pairs and shift.  The walk runs over canonical residues, not integer
-lifts, so it meets each fibering once.  Each first residue's inverse,
-Bezout companion and window depend on the bound alone: ``_rows(bound)``
-holds them for the last bound walked, and each key's ``q`` is one
-multiply-add on its row.  ``enumerate_lens_fiberings`` keeps
-the keys of one marking; ``_manifolds`` builds each manifold's fiberings,
+lifts, so it meets each fibering once.  Each first residue's inverse and
+every residue's window depend on the bound alone: ``_rows(bound)`` holds
+them for the last bound walked.  Along a row a key's ``q`` is
+``(a2 - p*u)/a1``, one more each time ``a2`` steps by ``a1``, so the walk
+asked for residues ``qs`` mod ``m`` visits only their classes of ``a2``.
+``enumerate_lens_fiberings`` asks for the residues of one marking;
+``_manifolds``, for every key, builds each manifold's fiberings,
 the projective-plane one included, each once up to reversal, for
 ``manifold_fiberings`` and ``iter_lens_census``, the one loop over every
 coprime ``(p, q)`` up to ``max_p``: it streams one ``p`` at a time, and
@@ -251,9 +253,11 @@ def exceptional_lens_fibering(alpha: int) -> tuple[SeifertInvariant, MarkedLens]
 # makes at most bound*(bound + 1)/2 candidates, one per (a1, r1, a2), and each is
 # at most one fibering: 20,100 candidates for 6,117 fiberings at p = 0, and
 # 12,232 candidates, all fiberings, for L(1, 0) at this cap.  ``_rows`` holds one
-# bound's rows at a time: 12,232 rows, about 1.3 MB, at this cap.  The slowest
-# query, ``seifert enumerate-lens 1 0 200 --json``, takes about 0.1 s per
-# process on a 2-CPU x86-64 host with CPython 3.11.7.
+# bound's tables at a time: at this cap 12,232 rows and a window table that
+# shares its 66 distinct windows, about 1.25 MB together.  The slowest query,
+# ``seifert enumerate-lens 1 0 200 --json``, walks every key (m = 1) and takes
+# about 0.22 s per process, 46 ms of it the enumeration with its tables, on a
+# 2-CPU x86-64 host with CPython 3.11.7.
 MAX_ENUMERATION_BOUND = 200
 
 
@@ -281,22 +285,35 @@ def _check_bound(bound: int) -> None:
 
 @functools.lru_cache(maxsize=1)
 def _rows(bound: int) -> tuple:
-    """``_walk``'s rows at this bound, one ``(a1, r1, u, c1, lo1, hi1)`` per
-    ``a1 <= bound`` and unit ``r1`` mod ``a1``: ``u = r1^{-1}`` mod ``a1``
-    (``pow(0, -1, 1)`` is 0), ``c1 = (1 - r1*u)/a1`` and the window."""
-    rows = []
-    for a1 in range(1, bound + 1):
-        for r1 in range(a1):
-            if math.gcd(r1, a1) == 1:
-                u = pow(r1, -1, a1)
-                rows.append((a1, r1, u, (1 - r1 * u) // a1, -((bound + r1) // a1), (bound - r1) // a1))
-    return tuple(rows)
+    """``(rows, windows)``: ``_walk``'s tables at this bound.  ``rows`` has one
+    ``(a1, r1, u, lo1, hi1)`` per ``a1 <= bound`` and unit ``r1`` mod
+    ``a1``: ``u = r1^{-1}`` mod ``a1`` (``pow(0, -1, 1)`` is 0) and the
+    window of ``r1``.  ``windows[a][r]`` is the window ``(lo, hi)`` of a unit
+    ``r`` mod ``a <= bound`` and None for a non-unit, so one lookup is both
+    the second residue's unit test and its window.  A key's ``q`` along a
+    row, ``(a2 - p*u)/a1``, needs only ``u``."""
+    rows, windows, shared = [], [()], {}
+    for a in range(1, bound + 1):
+        row = []
+        for r in range(a):
+            if math.gcd(r, a) == 1:
+                # one shared tuple per distinct window, 66 at the cap: less memory to walk
+                window = (-((bound + r) // a), (bound - r) // a)
+                lo, hi = window = shared.setdefault(window, window)
+                rows.append((a, r, pow(r, -1, a), lo, hi))
+                row.append(window)
+            else:
+                row.append(None)
+        windows.append(tuple(row))
+    return tuple(rows), tuple(windows)
 
 
-def _walk(p: int, bound: int) -> dict:
+def _walk(p: int, bound: int, m: int = 1, qs: tuple | set = (0,)) -> dict:
     """Every two-fiber genus-zero fibering with ``p = a1*b2 + a2*b1``,
-    ``a_i <= bound`` and ``|b_i| <= bound``, as ``{(pairs, b): q}``: its
-    canonical pairs and shift, and the ``q`` of its marking from ``_lens_pq``.
+    ``a_i <= bound``, ``|b_i| <= bound`` and the ``q`` of its marking in one
+    of the residues ``qs`` mod ``m``, as ``{(pairs, b): q}``: its canonical
+    pairs and shift, and that ``q``, from ``_lens_pq``.  The default class,
+    0 mod 1, is every fibering with this ``p``.
 
     The canonical form writes ``b_i = q_i*a_i + r_i`` with ``0 <= r_i < a_i``
     and shift ``b = q1 + q2``, so ``p = a1*a2*b + a1*r2 + a2*r1``.  The walk
@@ -308,25 +325,39 @@ def _walk(p: int, bound: int) -> dict:
     integer parts ``q_i`` with ``|q_i*a_i + r_i| <= bound`` are the interval
     ``[lo_i, hi_i] = [-floor((bound + r_i)/a_i), floor((bound - r_i)/a_i)]``,
     so some lift of the key has both betas in range exactly when ``b`` lies
-    in ``[lo1 + lo2, hi1 + hi2]``.  With ``r1 <= r2`` when ``a1 = a2``,
+    in ``[lo1 + lo2, hi1 + hi2]``; ``windows[a2][r2]`` is ``(lo2, hi2)``,
+    or None when ``r2`` is no unit.  With ``r1 <= r2`` when ``a1 = a2``,
     each fibering is one candidate.
 
     The key's ``q`` is ``_lens_pq(a1, r1 + b*a1, a2, r2)[1]``: there
     ``alpha1' = -u``, as ``r1 + b*a1 = r1 (mod a1)``, and ``beta1' = c1 -
-    b*u``, so ``q = -u*r2 + a2*(c1 - b*u) = a2*c1 - u*t``.
+    b*u`` with ``c1 = (1 - r1*u)/a1``, so ``q = -u*r2 + a2*(c1 - b*u) =
+    a2*c1 - u*t``, which ``a1*c1 + u*r1 = 1`` reduces to ``q = (a2 -
+    p*u)/a1``.  So ``q`` rises by 1 each time ``a2`` steps by ``a1``, and
+    the ``a2`` with ``q = r (mod m)`` are one class mod ``a1*m``, starting
+    at ``a1 + (p*u + a1*(r - 1)) % (a1*m)``: the walk visits only those.
     """
     _check_bound(bound)
+    rows, windows = _rows(bound)
     walk = {}
-    for a1, r1, u, c1, lo1, hi1 in _rows(bound):
-        for a2 in range(a1 + p * u % a1, bound + 1, a1):
-            t = (p - a2 * r1) // a1
-            b, r2 = divmod(t, a2)
-            if math.gcd(r2, a2) != 1 or (a1 == a2 and r2 < r1):
-                continue
-            if lo1 - (bound + r2) // a2 <= b <= hi1 + (bound - r2) // a2:
-                # normalize's key: (1, 0) dropped, pairs already sorted
-                pairs = ((a1, r1), (a2, r2)) if a1 > 1 else ((a2, r2),) if a2 > 1 else ()
-                walk[pairs, b] = a2 * c1 - u * t
+    for r in qs:  # outermost: a row pays for no loop of its own over qs
+        shift = r - 1
+        for a1, r1, u, lo1, hi1 in rows:
+            pu, step = p * u, a1 * m
+            # a while, not a range: most rows have at most one a2
+            a2 = a1 + (pu + a1 * shift) % step
+            while a2 <= bound:
+                b, r2 = divmod((p - a2 * r1) // a1, a2)
+                window = windows[a2][r2]
+                if (
+                    window is not None
+                    and (a1 < a2 or r1 <= r2)
+                    and lo1 + window[0] <= b <= hi1 + window[1]
+                ):
+                    # normalize's key: (1, 0) dropped, pairs already sorted
+                    pairs = ((a1, r1), (a2, r2)) if a1 > 1 else ((a2, r2),) if a2 > 1 else ()
+                    walk[pairs, b] = (a2 - pu) // a1
+                a2 += step
     return walk
 
 
@@ -336,12 +367,14 @@ def enumerate_lens_fiberings(target: MarkedLens, bound: int) -> list[SeifertInva
     fibering isomorphism and returned in canonical order.
 
     Every such fibering has ``target.p = a1*b2 + a2*b1``, so one ``_walk`` at
-    that ``p`` finds them all, keyed by their canonical pairs and shift; a
-    key is kept when its ``q`` lies in the target's residues.  Bounds above
-    MAX_ENUMERATION_BOUND raise ValueError before any work is done.
+    that ``p``, asked for the target's residues ``qs`` mod ``m``, finds them
+    all, keyed by their canonical pairs and shift.  Along each of the walk's
+    rows ``q = (a2 - p*u)/a1`` steps by 1 with ``a2``, so each residue is
+    one class of ``a2`` mod ``a1*m`` and the walk meets no other marking's
+    fibering.  Bounds above MAX_ENUMERATION_BOUND raise ValueError before any
+    work is done.
     """
-    m, qs = _residues(target.p, target.q)
-    found = sorted(key for key, q in _walk(target.p, bound).items() if q % m in qs)
+    found = sorted(_walk(target.p, bound, *_residues(target.p, target.q)))
     return [SeifertInvariant(0, _with_shift(pairs, b)) for pairs, b in found]
 
 

@@ -580,9 +580,31 @@ class TestWalk:
                 if p == 0:
                     assert new[key] == q == 1, (bound, key)
 
+    def test_residue_classes_match_filtered_walk(self):
+        # the walk asked for a marking's residues keeps exactly the whole
+        # walk's keys with q in them, with the same q; at p = 0, m = 2
+        from seifert.lens import _residues, _walk
+
+        cases = [(p, b) for b in range(1, 13) for p in range(-48, 49)]
+        cases += [(p, b) for p, b in _WALK_CASES if b > 12]
+        for p, bound in cases:
+            whole, oracle = _walk(p, bound), _walk_oracle(p, bound) if bound <= 12 else None
+            markings = range(abs(p)) if p else (1,)
+            if bound > 12:  # a few markings at each large bound
+                markings = [q for q in markings if math.gcd(p, q) == 1][:4]
+            for q in markings:
+                if math.gcd(p, q) != 1:
+                    continue
+                m, qs = _residues(p, q)
+                expected = {key: k for key, k in whole.items() if k % m in qs}
+                assert _walk(p, bound, m, qs) == expected, (p, bound, q)
+                if oracle is not None:
+                    kept = {key for key, k in oracle.items() if k % m in qs}
+                    assert expected.keys() == kept, (p, bound, q)
+
     def test_q_is_lens_pq(self):
-        # the walk's multiply-add a2*c1 - u*t is _lens_pq's q of the key,
-        # padded in front with (1, 0) as the walk takes a1 <= a2
+        # the walk's q = (a2 - p*u)/a1 is _lens_pq's q of the key, padded
+        # in front with (1, 0) as the walk takes a1 <= a2
         from seifert.lens import _lens_pq, _walk
 
         for p, bound in _WALK_CASES:
@@ -594,19 +616,22 @@ class TestWalk:
         from seifert.lens import _rows
 
         # at the cap, one row per unit: the totients of 1..200 sum to 12,232
-        assert len(_rows(MAX_ENUMERATION_BOUND)) == 12232
+        assert len(_rows(MAX_ENUMERATION_BOUND)[0]) == 12232
         for bound in (*range(1, 13), 40, 64):
+            rows, windows = _rows(bound)
             expected = []
+            assert len(windows) == bound + 1 and windows[0] == (), bound
             for a1 in range(1, bound + 1):
+                assert len(windows[a1]) == a1, (bound, a1)
                 for r1 in range(a1):
                     if math.gcd(r1, a1) != 1:
+                        assert windows[a1][r1] is None, (bound, a1, r1)
                         continue
                     u = next(u for u in range(a1) if (r1 * u - 1) % a1 == 0)
-                    c1 = (1 - r1 * u) // a1
-                    assert a1 * c1 + r1 * u == 1
                     lifts = [k for k in range(-2 * bound, 2 * bound + 1) if abs(k * a1 + r1) <= bound]
-                    expected.append((a1, r1, u, c1, min(lifts), max(lifts)))
-            assert list(_rows(bound)) == expected, bound
+                    expected.append((a1, r1, u, min(lifts), max(lifts)))
+                    assert windows[a1][r1] == (min(lifts), max(lifts)), (bound, a1, r1)
+            assert list(rows) == expected, bound
 
     def test_rows_cache_holds_one_bound(self):
         from seifert.lens import _rows, _walk
@@ -729,7 +754,7 @@ class TestManifoldFiberings:
         walk = lens._walk
 
         def counting_walk(*args):
-            calls.append(args)
+            calls.append(args[:2])  # (p, bound); a marking adds its residues
             return walk(*args)
 
         monkeypatch.setattr(lens, "_walk", counting_walk)
