@@ -35,6 +35,7 @@ from .notation import (
     _canonical_text,
     _digit_budget,
     _int_digit_limit,
+    _invariant_text,
     _ratio_str,
     catalog_json,
     degree_set_str,
@@ -261,7 +262,7 @@ def _cmd_enumerate_lens(args) -> int:
     payload = {
         "target": {"p": target.p, "q": target.q},
         "bound": args.bound,
-        "fiberings": [print_invariant(inv) for inv in found],
+        "fiberings": [_invariant_text(0, 0, inv.pairs) for inv in found],
     }
     return _emit(args, payload, payload["fiberings"] or ["(none found)"])
 

@@ -18,8 +18,10 @@ decides first: a closed fibering with ``e != 0`` has one candidate, ``d =
 chi/e``, tested against each fiber's congruence, and one with ``e = 0`` has
 none unless ``chi = 0``.  Only where the answer is a class, with boundary
 or when ``e = chi = 0``, does ``_merge`` fold the congruences into one class
-``d = r (mod m)``, in input order, one modular inverse per cone point; a
-decision with no field runs it too, to name a clash.  The Euler pin is
+``d = r (mod m)``, in input order, one modular inverse per cone point.  A
+decision with no field names a clash by one pairwise scan: congruences are
+jointly solvable exactly when every two of them are, and two clash exactly
+when their betas differ modulo the gcd of their alphas.  The Euler pin is
 integer arithmetic: multiplied by the product P of the alphas, ``d * e =
 chi`` reads ``d * -sum(b_i P/a_i) = chi_u P - sum((a_i - 1) P/a_i)``, so no
 orbifold and no fraction is built unless ``decide_hvf`` reports a mismatch.
@@ -247,7 +249,15 @@ def _verdict(inv: SeifertInvariant, fold) -> tuple[tuple, tuple[int, int] | None
     None with boundary: ``(mechanisms, clash)``.  ``clash`` is the pair of
     fiber indices ``(i, j)`` when a congruence clash blocks the field, and
     None otherwise, so no mechanism and no clash is an Euler mismatch.  It
-    builds no obstruction record and no Fraction."""
+    builds no obstruction record and no Fraction.
+
+    With no field, ``j`` is the first pair that clashes with an earlier one
+    and ``i`` the first earlier pair it clashes with.  Congruences are
+    jointly solvable exactly when every two are, so that ``j`` is the first
+    pair that contradicts the merge of the pairs before it, as ``_merge``
+    would name it; two pairs clash exactly when ``(b_i - b_j) % gcd(a_i,
+    a_j)`` is non-zero, since ``-b^{-1}`` is a bijection on the units mod
+    that gcd.  A pair with ``a = 1`` clashes with none."""
     mechanisms = []
     if _section(inv):
         mechanisms.append(SurfaceSection())
@@ -258,15 +268,12 @@ def _verdict(inv: SeifertInvariant, fold) -> tuple[tuple, tuple[int, int] | None
         mechanisms.append(Covering(degrees, target))
     if mechanisms:
         return tuple(mechanisms), None
-    merged = _merge(inv.pairs)
-    if isinstance(merged, int):
-        # pairwise solvability implies joint solvability, so some earlier
-        # pair clashes with pair j on its own; -b^{-1} is a bijection on the
-        # units mod gcd(a_k, a), so the betas tell it directly
-        j = merged
-        a, b = inv.pairs[j]
-        i = next(k for k, (ak, bk) in enumerate(inv.pairs[:j]) if (bk - b) % math.gcd(ak, a))
-        return (), (i, j)
+    pairs = inv.pairs
+    for j, (a, b) in enumerate(pairs):
+        for i in range(j):
+            ai, bi = pairs[i]
+            if (bi - b) % math.gcd(ai, a):
+                return (), (i, j)
     # the congruences hold, so the fibering is closed and d * e = chi failed
     return (), None
 
@@ -286,11 +293,10 @@ def decide_hvf(inv: SeifertInvariant) -> HvfDecision:
     torus and the Klein bottle).  The covering mechanism needs a non-empty
     degree set, decided as by ``allowable_degrees`` (the Euler pin first)
     from one fold; its target is the unit tangent bundle of the base, built
-    in canonical form by ``invariant._unit_tangent``.  With no field, the
-    congruence merge names the obstruction: the first pair ``j`` that
-    contradicts the pairs before it gives a clash, and a gcd test on the
-    earlier pairs names the first one that contradicts pair ``j`` on its
-    own; with no clash the Euler condition failed.  The decision is
+    in canonical form by ``invariant._unit_tangent``.  With no field, one
+    pairwise gcd test names the obstruction: the first pair ``j`` that
+    clashes with an earlier pair, and the first such earlier pair ``i``,
+    give a clash; with no clash the Euler condition failed.  The decision is
     ``_verdict``'s, which the report reads too; this function adds only the
     records, and is the one builder of the obstruction records and the
     mismatch's two Fractions.

@@ -23,14 +23,27 @@ fibered marked lens space, with
 
 for any Bezout companion ``a1*b1' - b1*a1' = 1``; such a fibering carries a
 horizontal vector field exactly when ``p != 0`` and ``q = -1 (mod p)``.
+Written with canonical residues, ``b_i = q_i*a_i + r_i`` with ``0 <= r_i <
+a_i`` and shift ``b = q1 + q2``, ``p = a1*a2*b + a1*r2 + a2*r1``: the fold's
+``eb`` of any representative.  The companion with ``a1' = -u``, ``u =
+r1^{-1}`` mod ``a1`` (``pow(0, -1, 1)`` is 0), has ``b1' = c1 - b*u`` with
+``c1 = (1 - r1*u)/a1``, so ``q = -u*r2 + a2*(c1 - b*u) = a2*c1 - u*(p -
+a2*r1)/a1``, which ``a1*c1 + u*r1 = 1`` reduces to
+
+    q = (a2 - p*u)/a1,
+
+whichever pair is first; a pair ``(1, 0)`` stands in for a missing one.
+Taking the other pair first gives ``q``'s inverse mod ``p``, the same
+marking.  ``_lens`` reads the marking off it, with the canonical pairs in
+order and ``(1, 0)`` after them.
 
 Both rules live in one integer helper, ``_residues``, and every fibering
 with a given ``p`` in one walk, ``_walk(p, bound)``, keyed by its canonical
 pairs and shift.  The walk runs over canonical residues, not integer
 lifts, so it meets each fibering once.  Each first residue's inverse and
 every residue's window depend on the bound alone: ``_rows(bound)`` holds
-them for the last bound walked.  Along a row a key's ``q`` is
-``(a2 - p*u)/a1``, one more each time ``a2`` steps by ``a1``, so the walk
+them for the last bound walked.  Along a row a key's ``q``, with ``(1, 0)``
+in front, rises by 1 each time ``a2`` steps by ``a1``, so the walk
 asked for residues ``qs`` mod ``m`` visits only their classes of ``a2``.
 ``enumerate_lens_fiberings`` asks for the residues of one marking;
 ``_manifolds``, for every key, builds each manifold's fiberings,
@@ -48,7 +61,7 @@ from enum import Enum
 
 from ._record import Record
 from .errors import IncompatibleCover, NotALensForm, NotCoprime, ZeroDegree
-from .invariant import CanonicalForm, SeifertInvariant, _with_shift, normalize
+from .invariant import SeifertInvariant, _fold, _with_shift
 
 __all__ = [
     "MarkedLens",
@@ -97,33 +110,30 @@ def lens_from_invariant(inv: SeifertInvariant) -> MarkedLens:
     """The marked lens space of a genus-zero fibering with at most two
     exceptional fibers.
 
-    The invariant is normalized first, so any representative of such a
-    fibering is accepted; more than two exceptional fibers (or non-zero
+    Any representative of such a fibering is accepted: ``p`` is the fold's
+    ``eb`` and the marking reads only the reduced cone pairs, so no
+    canonical form is built.  More than two exceptional fibers (or non-zero
     genus, or boundary) raises NotALensForm.  Any Bezout companion other
-    than ``_lens_pq``'s changes ``q`` by a multiple of ``p``, which
-    MarkedLens reduces away.
+    than ``_lens``'s changes ``q`` by a multiple of ``p``, which MarkedLens
+    reduces away.
     """
-    return _lens(normalize(inv))
-
-
-def _lens(cf: CanonicalForm) -> MarkedLens:
-    """``lens_from_invariant`` of the invariant with canonical form ``cf``."""
-    if cf.boundary_count or cf.genus_code != 0:
+    if inv.boundary_count or inv.genus_code != 0:
         raise NotALensForm("need a closed genus-zero invariant")
-    if len(cf.pairs) > 2:
+    cones = [(a, b % a) for a, b in inv.pairs if a > 1]
+    if len(cones) > 2:
         raise NotALensForm("more than two exceptional fibers")
-    pairs = list(cf.pairs) + [(1, 0)] * (2 - len(cf.pairs))
-    (a1, b1), (a2, b2) = pairs
-    # fold the integer shift into the first ratio
-    return MarkedLens(*_lens_pq(a1, b1 + cf.b * a1, a2, b2))
+    cones.sort()
+    return _lens(cones, _fold(inv)[0])
 
 
-def _lens_pq(a1, b1, a2, b2):
-    """``(p, q)`` of the fibering ``(0; (a1, b1), (a2, b2))``, with the Bezout
-    companion that has ``alpha1'`` in ``(-a1, 0]``."""
-    alpha1p = -pow(b1, -1, a1)
-    beta1p = (1 + b1 * alpha1p) // a1  # a1*beta1p - b1*alpha1p = 1
-    return a1 * b2 + a2 * b1, alpha1p * b2 + a2 * beta1p
+def _lens(cones, p: int) -> MarkedLens:
+    """``L(p, q)`` of the closed genus-zero fibering with at most two sorted
+    canonical cone pairs ``cones`` and ``p = a1*b2 + a2*b1``: ``q = (a2 -
+    p*u)/a1`` with ``u = r1^{-1}`` mod ``a1``, the pairs in order and
+    ``(1, 0)`` after them (module docstring)."""
+    a1, r1 = cones[0] if cones else (1, 0)
+    a2 = cones[1][0] if len(cones) == 2 else 1
+    return MarkedLens(p, (a2 - p * pow(r1, -1, a1)) // a1)
 
 
 def _residues(p: int, q: int, homeo: bool = False) -> tuple[int, set[int]]:
@@ -312,16 +322,15 @@ def _walk(p: int, bound: int, m: int = 1, qs: tuple | set = (0,)) -> dict:
     """Every two-fiber genus-zero fibering with ``p = a1*b2 + a2*b1``,
     ``a_i <= bound``, ``|b_i| <= bound`` and the ``q`` of its marking in one
     of the residues ``qs`` mod ``m``, as ``{(pairs, b): q}``: its canonical
-    pairs and shift, and that ``q``, from ``_lens_pq``.  The default class,
-    0 mod 1, is every fibering with this ``p``.
+    pairs and shift, and that ``q``.  The default class, 0 mod 1, is every
+    fibering with this ``p``.
 
-    The canonical form writes ``b_i = q_i*a_i + r_i`` with ``0 <= r_i < a_i``
-    and shift ``b = q1 + q2``, so ``p = a1*a2*b + a1*r2 + a2*r1``.  The walk
-    takes ``a1 <= a2`` and a unit ``r1`` mod ``a1`` (``r1 = 0`` when
-    ``a1 = 1``), a row of ``_rows(bound)``; ``a1`` divides ``p - a2*r1``
-    only for ``a2`` in the class ``p*u`` mod ``a1``, and for each such
-    ``a2`` the quotient ``t = (p - a2*r1)/a1 = a2*b + r2`` gives ``b`` and
-    ``r2`` by one divmod, and ``r2`` must be a unit mod ``a2``.  The
+    In canonical residues ``p = a1*a2*b + a1*r2 + a2*r1`` (module
+    docstring).  The walk takes ``a1 <= a2`` and a unit ``r1`` mod ``a1``
+    (``r1 = 0`` when ``a1 = 1``), a row of ``_rows(bound)``; ``a1`` divides
+    ``p - a2*r1`` only for ``a2`` in the class ``p*u`` mod ``a1``, and for
+    each such ``a2`` the quotient ``t = (p - a2*r1)/a1 = a2*b + r2`` gives
+    ``b`` and ``r2`` by one divmod, and ``r2`` must be a unit mod ``a2``.  The
     integer parts ``q_i`` with ``|q_i*a_i + r_i| <= bound`` are the interval
     ``[lo_i, hi_i] = [-floor((bound + r_i)/a_i), floor((bound - r_i)/a_i)]``,
     so some lift of the key has both betas in range exactly when ``b`` lies
@@ -329,13 +338,11 @@ def _walk(p: int, bound: int, m: int = 1, qs: tuple | set = (0,)) -> dict:
     or None when ``r2`` is no unit.  With ``r1 <= r2`` when ``a1 = a2``,
     each fibering is one candidate.
 
-    The key's ``q`` is ``_lens_pq(a1, r1 + b*a1, a2, r2)[1]``: there
-    ``alpha1' = -u``, as ``r1 + b*a1 = r1 (mod a1)``, and ``beta1' = c1 -
-    b*u`` with ``c1 = (1 - r1*u)/a1``, so ``q = -u*r2 + a2*(c1 - b*u) =
-    a2*c1 - u*t``, which ``a1*c1 + u*r1 = 1`` reduces to ``q = (a2 -
-    p*u)/a1``.  So ``q`` rises by 1 each time ``a2`` steps by ``a1``, and
-    the ``a2`` with ``q = r (mod m)`` are one class mod ``a1*m``, starting
-    at ``a1 + (p*u + a1*(r - 1)) % (a1*m)``: the walk visits only those.
+    The key's ``q`` is ``(a2 - p*u)/a1`` (module docstring), with ``(1,
+    0)`` in front of a lone cone pair.  So ``q`` rises by 1 each time ``a2``
+    steps by ``a1``, and the ``a2`` with ``q = r (mod m)`` are one class mod
+    ``a1*m``, starting at ``a1 + (p*u + a1*(r - 1)) % (a1*m)``: the walk
+    visits only those.
     """
     _check_bound(bound)
     rows, windows = _rows(bound)

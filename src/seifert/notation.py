@@ -48,7 +48,7 @@ import math
 import re
 import sys
 
-from .errors import NotALensForm, ParseError
+from .errors import ParseError
 from .hvf import (
     Covering,
     CongruenceClash,
@@ -422,7 +422,10 @@ def invariant_report(text: str, inv: SeifertInvariant) -> dict:
     a closed fibering, through ``hvf._verdict``: the report builds no
     decision record, and an Euler mismatch renders e and chi from the
     fold's strings, so no Fraction either.  The ``hvf`` section equals
-    ``decision_json(decide_hvf(inv))``.
+    ``decision_json(decide_hvf(inv))``.  A closed lens form, genus 0 with at
+    most two cone pairs, has a lens section, read by ``lens._lens`` off its
+    canonical pairs and the fold's ``eb``; any other invariant has none,
+    and no exception is raised or caught for it.
     """
     cf = normalize(inv)
     cones = [a for a, _ in cf.pairs]
@@ -446,10 +449,8 @@ def invariant_report(text: str, inv: SeifertInvariant) -> dict:
         "hvf": _hvf_json(bool(mechanisms), mechanisms, obstruction),
     }
     if inv.closed:
-        try:
-            report["lens"] = lens_json(_lens(cf))
-        except NotALensForm:
-            pass
+        if inv.genus_code == 0 and len(cf.pairs) <= 2:
+            report["lens"] = lens_json(_lens(cf.pairs, eb))
         if inv.genus_code >= 0 and mechanisms:
             report["homotopy"] = catalog_json(_catalog(inv, mechanisms))
     return report

@@ -38,6 +38,7 @@ from seifert import (
     unit_tangent_invariant,
 )
 from seifert.errors import NotCoprime
+from seifert.hvf import _merge, _verdict
 from seifert.invariant import _fold
 
 
@@ -448,6 +449,53 @@ class TestClashIndices:
         if isinstance(degrees, DegreeProgression):
             assert degrees.modulus == math.lcm(*(a for a, _ in pairs))
             assert 0 <= degrees.residue < degrees.modulus
+
+
+def _merge_clash_oracle(pairs):
+    """The clash as the congruence merge names it: ``_merge``'s first pair
+    ``j`` that contradicts the merge of the pairs before it, then the first
+    ``k < j`` whose congruence contradicts pair ``j``'s on its own; None when
+    the congruences merge."""
+    j = _merge(pairs)
+    if not isinstance(j, int):
+        return None
+    a, b = pairs[j]
+    return next(k for k in range(j) if (pairs[k][1] - b) % math.gcd(pairs[k][0], a)), j
+
+
+@st.composite
+def scan_invariants(draw):
+    """0-8 pairs with alphas up to 30, ``a = 1`` drawn often, over genus
+    codes -2..2 and 0..2 boundary circles."""
+    pairs = []
+    for _ in range(draw(st.integers(0, 8))):
+        a = draw(st.one_of(st.just(1), st.integers(1, 30)))
+        b = draw(st.integers(-60, 60))
+        while math.gcd(a, b) != 1:
+            b += 1
+        pairs.append((a, b))
+    return inv(draw(st.integers(-2, 2)), *pairs, boundary=draw(st.integers(0, 2)))
+
+
+class TestClashScan:
+    """``_verdict`` names a clash by one pairwise scan; it must name the
+    ``(i, j)`` that the merge does."""
+
+    @settings(max_examples=1000)
+    @given(scan_invariants())
+    def test_matches_merge(self, invariant):
+        expected = _merge_clash_oracle(invariant.pairs)
+        mechanisms, clash = _verdict(invariant, _fold(invariant) if invariant.closed else None)
+        if mechanisms:
+            assert expected is None and clash is None, invariant
+        else:
+            assert clash == expected, invariant
+        obstruction = decide_hvf(invariant).obstruction
+        if expected is not None:
+            assert obstruction == CongruenceClash(*expected), invariant
+        else:
+            assert not isinstance(obstruction, CongruenceClash), invariant
+            assert isinstance(obstruction, EulerMismatch) == (not mechanisms), invariant
 
 
 class TestEntryPointsAgree:

@@ -39,6 +39,25 @@ def bezout_companion(a, b):
     return ap, (1 + b * ap) // a
 
 
+def _lens_pq(a1, b1, a2, b2):
+    """``(p, q)`` of the fibering ``(0; (a1, b1), (a2, b2))``, with the Bezout
+    companion that has ``alpha1'`` in ``(-a1, 0]``: an oracle for the
+    library's ``q = (a2 - p*u)/a1``, independent of it."""
+    alpha1p = -pow(b1, -1, a1)
+    beta1p = (1 + b1 * alpha1p) // a1  # a1*beta1p - b1*alpha1p = 1
+    return a1 * b2 + a2 * b1, alpha1p * b2 + a2 * beta1p
+
+
+@st.composite
+def lens_cone_pairs(draw):
+    """A cone pair ``(a, b)``, ``2 <= a <= 30``, with an unreduced beta."""
+    a = draw(st.integers(2, 30))
+    b = draw(st.integers(-90, 90))
+    while math.gcd(a, b) != 1:
+        b += 1
+    return a, b
+
+
 def all_marked(max_p):
     out = []
     for p in range(-max_p, max_p + 1):
@@ -108,6 +127,33 @@ class TestLensFromInvariant:
             lens_from_invariant(inv(0, (2, 1), (3, 1), (5, 1)))
         with pytest.raises(NotALensForm):
             lens_from_invariant(inv(1, (2, 1)))
+
+    def test_not_a_lens_form_messages(self):
+        # genus and boundary are tested before the cone pairs are counted
+        cases = [
+            (inv(1, (2, 1)), "need a closed genus-zero invariant"),
+            (inv(-1, (2, 1), (3, 1), (5, 1)), "need a closed genus-zero invariant"),
+            (inv(0, (2, 1), boundary=1), "need a closed genus-zero invariant"),
+            (inv(0, (2, 1), (3, 1), (5, 1)), "more than two exceptional fibers"),
+        ]
+        for invariant, message in cases:
+            with pytest.raises(NotALensForm) as info:
+                lens_from_invariant(invariant)
+            assert str(info.value) == message, invariant
+
+    @settings(max_examples=500)
+    @given(st.data())
+    def test_matches_bezout_oracle(self, data):
+        # the marking read off the fold is _lens_pq's on the canonical
+        # pairs, padded after them with (1, 0) and the shift folded into
+        # the first ratio
+        pairs = [data.draw(lens_cone_pairs()) for _ in range(data.draw(st.integers(0, 2)))]
+        pairs += [(1, data.draw(st.integers(-6, 6))) for _ in range(data.draw(st.integers(0, 3)))]
+        invariant = inv(0, *data.draw(st.permutations(pairs)))
+        cf = normalize(invariant)
+        (a1, b1), (a2, b2) = list(cf.pairs) + [(1, 0)] * (2 - len(cf.pairs))
+        expected = MarkedLens(*_lens_pq(a1, b1 + cf.b * a1, a2, b2))
+        assert lens_from_invariant(invariant) == expected, invariant
 
     def test_normalization_does_not_change_marking(self):
         a = inv(0, (2, 1), (2, 5))
@@ -503,7 +549,7 @@ def _walk_oracle(p, bound):
     coprime ``(a1, b1)``, then a window of ``a2``, each fibering reached
     about three times and the repeats dropped by key.  An oracle for the
     keys and marked classes of the walk over canonical residues."""
-    from seifert.lens import _check_bound, _lens_pq
+    from seifert.lens import _check_bound
 
     _check_bound(bound)
     seen = {}
@@ -605,7 +651,7 @@ class TestWalk:
     def test_q_is_lens_pq(self):
         # the walk's q = (a2 - p*u)/a1 is _lens_pq's q of the key, padded
         # in front with (1, 0) as the walk takes a1 <= a2
-        from seifert.lens import _lens_pq, _walk
+        from seifert.lens import _walk
 
         for p, bound in _WALK_CASES:
             for (pairs, b), q in _walk(p, bound).items():
